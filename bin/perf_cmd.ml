@@ -27,13 +27,13 @@ let rate e = if e.e_wall > 0.0 then float_of_int e.e_runs /. e.e_wall else 0.0
 (* {1 Microbenchmarks} *)
 
 (* Full read+update transactions against a populated table: begin, snapshot
-   read, write, first-committer-wins check, commit. [null_sink] attaches an
-   observability sink with every channel off — the A/B side of the
-   obs-overhead guard below. *)
-let bench_commit_path ?(null_sink = false) runs () =
+   read, write, first-committer-wins check, commit — [runs] of them
+   round-robin over 256 rows, with [obs] attached before the load. The
+   commit-path arms below differ only in the sink they pass. *)
+let commit_loop ?obs runs =
   let sim = Sim.create () in
   let db = Core.Db.create ~config:(Core.Config.bdb ()) sim in
-  if null_sink then Core.Db.set_obs db (Obs.create ~trace:false ~metrics:false ());
+  Option.iter (Core.Db.set_obs db) obs;
   let rows = List.init 256 (fun i -> (Printf.sprintf "k%03d" i, "0")) in
   ignore (Core.Db.create_table db "t");
   Core.Db.load db "t" rows;
@@ -49,7 +49,17 @@ let bench_commit_path ?(null_sink = false) runs () =
         | Error _ -> ()
       done);
   Sim.run sim;
-  float_of_int (Core.Db.stats db).Core.Internal.commits
+  (sim, db)
+
+let commits db = float_of_int (Core.Db.stats db).Core.Internal.commits
+
+(* The commit loop with no sink, or with [sink ()] attached under
+   [~null_sink:true]: the A/B sides of the obs-overhead guard below. *)
+let commit_path_with sink ?(null_sink = false) runs () =
+  commits (snd (commit_loop ?obs:(if null_sink then Some (sink ()) else None) runs))
+
+(* [null_sink] attaches an observability sink with every channel off. *)
+let bench_commit_path = commit_path_with (fun () -> Obs.create ~trace:false ~metrics:false ())
 
 (* Raw lock-manager work: S grant, S->X upgrade, release, over a small hot
    set of resources (uncontended: measures table/queue bookkeeping). *)
@@ -200,61 +210,24 @@ let micros ~quick =
    simulation's own cost — and is gated by the same OBS_OVERHEAD_MAX as the
    disabled-sink arms. *)
 let bench_timeline_path ?(null_sink = false) runs () =
-  let sim = Sim.create () in
-  let db = Core.Db.create ~config:(Core.Config.bdb ()) sim in
   let obs = Obs.create ~trace:true ~provenance:true () in
-  Core.Db.set_obs db obs;
-  let rows = List.init 256 (fun i -> (Printf.sprintf "k%03d" i, "0")) in
-  ignore (Core.Db.create_table db "t");
-  Core.Db.load db "t" rows;
-  Sim.spawn sim (fun () ->
-      for i = 0 to runs - 1 do
-        let key = Printf.sprintf "k%03d" (i mod 256) in
-        match
-          Core.Db.run db Core.Types.Serializable (fun t ->
-              let v = Core.Txn.read_exn t "t" key in
-              Core.Txn.write t "t" key (string_of_int (String.length v)))
-        with
-        | Ok () -> ()
-        | Error _ -> ()
-      done);
-  Sim.run sim;
-  let commits = float_of_int (Core.Db.stats db).Core.Internal.commits in
-  if not null_sink then commits
-  else
-    match Timeline.of_obs ~window:(Sim.now sim /. 64.0) ~horizon:(Sim.now sim) obs with
-    | None -> commits
-    | Some tl ->
-        let buf = Buffer.create 4096 in
-        Timeline.to_csv buf tl;
-        ignore (Timeline.change_points tl ~series:"throughput");
-        commits
+  let sim, db = commit_loop ~obs runs in
+  (if null_sink then
+     match Timeline.of_obs ~window:(Sim.now sim /. 64.0) ~horizon:(Sim.now sim) obs with
+     | None -> ()
+     | Some tl ->
+         let buf = Buffer.create 4096 in
+         Timeline.to_csv buf tl;
+         ignore (Timeline.change_points tl ~series:"throughput"));
+  commits db
 
 (* Sketch arm: the B side attaches a sink with *only* the attribution
    sketch on, so the measured delta bounds the cost of the per-resource
    heavy-hitter updates (one hash probe + counter bump per conflict edge,
    SIREAD grant or lock wait) in the live commit path. Gated by the same
    OBS_OVERHEAD_MAX as the channels-off arms. *)
-let bench_commit_path_sketch ?(null_sink = false) runs () =
-  let sim = Sim.create () in
-  let db = Core.Db.create ~config:(Core.Config.bdb ()) sim in
-  if null_sink then Core.Db.set_obs db (Obs.create ~trace:false ~metrics:false ~sketch:256 ());
-  let rows = List.init 256 (fun i -> (Printf.sprintf "k%03d" i, "0")) in
-  ignore (Core.Db.create_table db "t");
-  Core.Db.load db "t" rows;
-  Sim.spawn sim (fun () ->
-      for i = 0 to runs - 1 do
-        let key = Printf.sprintf "k%03d" (i mod 256) in
-        match
-          Core.Db.run db Core.Types.Serializable (fun t ->
-              let v = Core.Txn.read_exn t "t" key in
-              Core.Txn.write t "t" key (string_of_int (String.length v)))
-        with
-        | Ok () -> ()
-        | Error _ -> ()
-      done);
-  Sim.run sim;
-  float_of_int (Core.Db.stats db).Core.Internal.commits
+let bench_commit_path_sketch =
+  commit_path_with (fun () -> Obs.create ~trace:false ~metrics:false ~sketch:256 ())
 
 (* {1 Observability-overhead guard}
 
@@ -336,18 +309,19 @@ type timeline_probe = {
   tp_build_s : float;  (** median wall seconds per build+CSV render *)
 }
 
-let timeline_probe ~quick =
+(* The probes' contended workload: 8 clients of random read+write SSI
+   transactions over 64 keys (4000 in all under --quick, else 16000), with
+   [obs] attached, so the trace carries real aborts and the wasted-work side
+   of the ledger is exercised, not just commits. *)
+let contended_run ~quick obs =
   let clients = 8 in
   let per_client = (if quick then 4000 else 16_000) / clients in
   let keys = 64 in
   let sim = Sim.create () in
   let db = Core.Db.create ~config:(Core.Config.bdb ()) sim in
-  let obs = Obs.create ~trace:true ~provenance:true () in
   Core.Db.set_obs db obs;
   ignore (Core.Db.create_table db "t");
   Core.Db.load db "t" (List.init keys (fun i -> (Printf.sprintf "k%03d" i, "0")));
-  (* Contended read+write mix so the trace carries real aborts and the
-     wasted-work side of the ledger is exercised, not just commits. *)
   for client = 1 to clients do
     Sim.spawn sim (fun () ->
         let st = Random.State.make [| 7; client |] in
@@ -363,6 +337,11 @@ let timeline_probe ~quick =
         done)
   done;
   Sim.run sim;
+  (sim, db)
+
+let timeline_probe ~quick =
+  let obs = Obs.create ~trace:true ~provenance:true () in
+  let sim, db = contended_run ~quick obs in
   let conserved = Core.Db.work_conserved db in
   let wp = Core.Db.work_profile db in
   let horizon = Sim.now sim in
@@ -568,30 +547,8 @@ type attrib_probe = {
 }
 
 let attrib_probe ~quick =
-  let clients = 8 in
-  let per_client = (if quick then 4000 else 16_000) / clients in
-  let keys = 64 in
-  let sim = Sim.create () in
-  let db = Core.Db.create ~config:(Core.Config.bdb ()) sim in
   let obs = Obs.create ~trace:false ~metrics:false ~provenance:true ~sketch:256 () in
-  Core.Db.set_obs db obs;
-  ignore (Core.Db.create_table db "t");
-  Core.Db.load db "t" (List.init keys (fun i -> (Printf.sprintf "k%03d" i, "0")));
-  for client = 1 to clients do
-    Sim.spawn sim (fun () ->
-        let st = Random.State.make [| 7; client |] in
-        for _ = 1 to per_client do
-          let r = Printf.sprintf "k%03d" (Random.State.int st keys) in
-          let w = Printf.sprintf "k%03d" (Random.State.int st keys) in
-          match
-            Core.Db.run db Core.Types.Serializable (fun t ->
-                ignore (Core.Txn.read t "t" r);
-                Core.Txn.write t "t" w "1")
-          with
-          | Ok () | Error _ -> ()
-        done)
-  done;
-  Sim.run sim;
+  ignore (contended_run ~quick obs);
   let sk = Option.get (Obs.sketch obs) in
   Attrib.blame sk (Obs.certs obs);
   let blame =

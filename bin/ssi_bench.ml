@@ -2,10 +2,16 @@
 
    - [list]         enumerate the experiments (paper figures + ablations)
    - [run IDS..]    run experiments and print their tables
+   - [bench]        one measured run of a workload (Scenario flags)
+   - [timeline]     windowed sim-time telemetry of a run
+   - [attribute]    per-resource contention profile + flight recorder
+   - [report]       one Markdown report: figures, profiled run, certificates
    - [sdg NAME]     static dependency graph analysis (§2.6/§2.8)
    - [interleave]   exhaustive interleaving sweeps (§4.7)
    - [explore]      DPOR schedule exploration (same coverage, far fewer runs)
    - [fuzz]         differential history fuzzing with the MVSG oracle
+   - [recover]      one crash+recover+verify roundtrip
+   - [perf]         hot-path microbenchmarks (BENCH_ssi.json)
 
    Examples:
      ssi_bench run fig6.1 fig6.8 --seeds 3 --duration 1.0
@@ -27,9 +33,10 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List available experiments") Term.(const run $ const ())
 
 let ids_arg =
-  Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc:"Experiment ids (see list)")
-
-let quick_arg = Arg.(value & flag & info [ "quick" ] ~doc:"Fast smoke budget")
+  Arg.(
+    value
+    & pos_all Scenario.figure_id []
+    & info [] ~docv:"EXPERIMENT" ~doc:"Experiment ids (see list)")
 
 (* Shared [-j N]: run independent jobs (experiment points, per-seed runs,
    fuzz shards) on a domain pool. The output contract is that results are
@@ -56,42 +63,12 @@ let write_file f s =
   output_string oc s;
   close_out oc
 
-(* Shared by [bench] and [report]. *)
-let isolation_of_string = function
-  | "si" -> Some Core.Types.Snapshot
-  | "ssi" -> Some Core.Types.Serializable
-  | "s2pl" -> Some Core.Types.S2pl
-  | "rc" -> Some Core.Types.Read_committed
-  | _ -> None
-
-let workload_of_string ?(tweak = fun c -> c) = function
-  | "smallbank" ->
-      Some
-        ( (fun sim ->
-            let db = Core.Db.create ~config:(tweak (Core.Config.bdb ())) sim in
-            Smallbank.setup db ~customers:20_000 ();
-            db),
-          Smallbank.mix ~customers:20_000 () )
-  | "sibench" ->
-      Some
-        ( (fun sim ->
-            let db = Core.Db.create ~config:(tweak (Core.Config.innodb ())) sim in
-            Sibench.setup db ~items:100 ();
-            db),
-          Sibench.mix ~items:100 () )
-  | _ -> None
-
-let seeds_arg =
-  Arg.(value & opt int 2 & info [ "seeds" ] ~doc:"Number of random seeds per point")
-
-let duration_arg =
-  Arg.(value & opt float 0.5 & info [ "duration" ] ~doc:"Measured simulated seconds per run")
-
-let mpl_arg =
-  Arg.(
-    value
-    & opt (list int) [ 1; 2; 5; 10; 20 ]
-    & info [ "mpl" ] ~doc:"Comma-separated multiprogramming levels")
+(* A fuzz configuration matrix, kept with its name for the banners. *)
+let matrix_conv =
+  let parse name = Option.map (fun m -> (name, m)) (Fuzzcase.matrix_of_string name) in
+  Arg.conv
+    ( Arg.parser_of_kind_of_string ~kind:"a matrix name (full | default)" parse,
+      fun ppf (name, _) -> Format.pp_print_string ppf name )
 
 let metrics_arg =
   Arg.(
@@ -100,50 +77,19 @@ let metrics_arg =
         ~doc:"Collect and print engine metrics (conflict-edge sources, lock waits, high-water marks)")
 
 let run_cmd =
-  let run ids quick seeds duration mpls metrics jobs =
-    let budget =
-      if quick then { Experiments.quick_budget with Experiments.with_metrics = metrics }
-      else
-        {
-          Experiments.seeds = List.init seeds (fun i -> i + 1);
-          duration;
-          warmup = duration /. 4.0;
-          mpls;
-          with_metrics = metrics;
-        }
-    in
+  let run ids budget with_metrics jobs =
+    let budget = { budget with Experiments.with_metrics } in
     let ids = if ids = [] then List.map fst Experiments.all_figures else ids in
     with_jobs jobs (fun pool -> Experiments.run_many ?pool ~budget Fmt.stdout ids)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run experiments and print throughput/abort tables")
-    Term.(
-      const run $ ids_arg $ quick_arg $ seeds_arg $ duration_arg $ mpl_arg $ metrics_arg
-      $ jobs_arg)
+    Term.(const run $ ids_arg $ Scenario.budget $ metrics_arg $ jobs_arg)
 
 (* One measured benchmark run, with optional Chrome-trace capture. The
    stdout report is byte-identical with or without --trace: tracing records
    events out-of-band and never perturbs the simulation. *)
 let bench_cmd =
-  let workload_arg =
-    Arg.(
-      value
-      & opt string "smallbank"
-      & info [ "workload" ] ~docv:"NAME" ~doc:"Workload: smallbank | sibench")
-  in
-  let mpl_arg =
-    Arg.(value & opt int 10 & info [ "mpl" ] ~doc:"Number of concurrent clients")
-  in
-  let duration_arg =
-    Arg.(value & opt float 0.5 & info [ "duration" ] ~doc:"Measured simulated seconds")
-  in
-  let warmup_arg =
-    Arg.(value & opt float 0.1 & info [ "warmup" ] ~doc:"Warmup simulated seconds")
-  in
-  let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed") in
-  let iso_arg =
-    Arg.(value & opt string "ssi" & info [ "isolation" ] ~doc:"si | ssi | s2pl | rc")
-  in
   let trace_arg =
     Arg.(
       value
@@ -151,70 +97,40 @@ let bench_cmd =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:"Write a Chrome-trace JSON array (chrome://tracing, ui.perfetto.dev) to $(docv)")
   in
-  let bench_seeds_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seeds" ] ~docv:"N"
-          ~doc:
-            "Aggregate over $(docv) seeds (base seed, base+1, ...) instead of one detailed run; \
-             pairs with -j to run the seeds in parallel")
-  in
-  let memb_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "memory-budget" ] ~docv:"N"
-          ~doc:
-            "Bound SIREAD/retained-transaction memory to $(docv) entries (0 = unbounded): \
-             row SIREADs promote to page granularity and old committed transactions are \
-             folded into a conservative summary under pressure")
-  in
-  let run workload mpl duration warmup seed iso trace metrics nseeds mem_budget jobs =
-    let isolation =
-      match isolation_of_string iso with
-      | Some i -> i
-      | None ->
-          prerr_endline ("unknown isolation: " ^ iso);
-          exit 1
-    in
-    let tweak c =
-      if mem_budget > 0 then { c with Core.Config.memory_budget = Some mem_budget } else c
-    in
-    let make_db, mix =
-      match workload_of_string ~tweak workload with
-      | Some w -> w
-      | None ->
-          prerr_endline ("unknown workload: " ^ workload);
-          exit 1
-    in
-    let cfg =
-      { Driver.default_config with Driver.isolation; mpl; warmup; duration; seed }
-    in
+  let run (sc : Scenario.t) trace metrics jobs =
+    let make_db, mix = Scenario.workload sc in
+    let cfg = Scenario.driver_config sc in
+    let iso = Scenario.isolation_name sc.isolation in
     let pp_memory m =
-      Printf.printf "  memory budget:    %d entries\n" mem_budget;
-      Printf.printf "    siread-live hwm:  %d\n" m.Obs.m_siread_live_hwm;
-      Printf.printf "    retained hwm:     %d (siread=%d plain=%d)\n" m.Obs.m_retained_hwm
-        m.Obs.m_retained_siread_hwm m.Obs.m_retained_record_hwm;
-      Printf.printf "    promotions:       %d\n" m.Obs.m_promotions;
-      Printf.printf "    summarized txns:  %d\n" m.Obs.m_summarized;
-      Printf.printf "    summary hwm:      %d\n" m.Obs.m_summary_hwm;
-      Printf.printf "    pressure events:  %d\n" m.Obs.m_budget_pressure
+      Option.iter
+        (fun budget ->
+          Printf.printf "  memory budget:    %d entries\n" budget;
+          Printf.printf "    siread-live hwm:  %d\n" m.Obs.m_siread_live_hwm;
+          Printf.printf "    retained hwm:     %d (siread=%d plain=%d)\n" m.Obs.m_retained_hwm
+            m.Obs.m_retained_siread_hwm m.Obs.m_retained_record_hwm;
+          Printf.printf "    promotions:       %d\n" m.Obs.m_promotions;
+          Printf.printf "    summarized txns:  %d\n" m.Obs.m_summarized;
+          Printf.printf "    summary hwm:      %d\n" m.Obs.m_summary_hwm;
+          Printf.printf "    pressure events:  %d\n" m.Obs.m_budget_pressure)
+        sc.memory_budget
     in
-    if nseeds > 1 then begin
+    if sc.nseeds > 1 then begin
       (* Aggregate mode: several independent seeds, optionally in parallel.
          Per-run traces would interleave, so --trace is single-run only. *)
       if trace <> None then begin
         prerr_endline "--trace requires --seeds 1 (a trace captures one run)";
         exit 1
       end;
-      let seeds = List.init nseeds (fun i -> seed + i) in
       let s =
         with_jobs jobs (fun pool ->
             Driver.run_seeds ?pool
-              ~with_metrics:(metrics || mem_budget > 0)
-              ~make_db ~mix ~seeds cfg)
+              ~with_metrics:(metrics || sc.memory_budget <> None)
+              ~make_db ~mix ~seeds:(Scenario.seeds sc) cfg)
       in
-      Printf.printf "workload=%s isolation=%s mpl=%d seeds=%d..%d window=%.2fs\n" workload iso
-        mpl seed (seed + nseeds - 1) duration;
+      Printf.printf "workload=%s isolation=%s mpl=%d seeds=%d..%d window=%.2fs\n" sc.workload iso
+        sc.mpl sc.seed
+        (sc.seed + sc.nseeds - 1)
+        sc.duration;
       Printf.printf "  throughput:       %.1f +/- %.1f tps (95%% ci)\n" s.Driver.s_throughput
         s.Driver.s_ci;
       Printf.printf "  deadlocks/commit: %.4f\n" s.Driver.s_deadlock_rate;
@@ -223,94 +139,67 @@ let bench_cmd =
       Printf.printf "  user aborts:      %.4f /commit\n" s.Driver.s_user_abort_rate;
       Printf.printf "  mean response:    %.6fs\n" s.Driver.s_mean_response;
       Printf.printf "  lock table:       %.1f entries at close\n" s.Driver.s_lock_table;
-      (match s.Driver.s_metrics with
-      | Some m when mem_budget > 0 -> pp_memory m
-      | _ -> ());
+      Option.iter pp_memory s.Driver.s_metrics;
       match s.Driver.s_metrics with
       | Some m when metrics -> Fmt.pr "%a@." Obs.pp_metrics m
       | _ -> ()
     end
     else begin
-    let obs =
-      if trace <> None || metrics || mem_budget > 0 then
-        Some (Obs.create ~trace:(trace <> None) ())
-      else None
-    in
-    let r = Driver.run_once ?obs ~make_db ~mix cfg in
-    Printf.printf "workload=%s isolation=%s mpl=%d seed=%d window=%.2fs\n" workload iso mpl
-      seed duration;
-    Printf.printf "  commits:          %d (%.0f tps)\n" r.Driver.commits r.Driver.throughput;
-    Printf.printf "  user aborts:      %d\n" r.Driver.user_aborts;
-    Printf.printf "  deadlocks:        %d\n" r.Driver.deadlocks;
-    Printf.printf "  fcw conflicts:    %d\n" r.Driver.conflicts;
-    Printf.printf "  unsafe aborts:    %d\n" r.Driver.unsafe;
-    Printf.printf "  other aborts:     %d\n" r.Driver.other_aborts;
-    Printf.printf "  mean response:    %.6fs\n" r.Driver.mean_response;
-    Printf.printf "  aborts/commit:    %.4f\n" r.Driver.aborts_per_commit;
-    if mem_budget > 0 then pp_memory r.Driver.metrics;
-    List.iter
-      (fun ps ->
-        Printf.printf "  program %-10s commits=%d user_aborts=%d aborts=%d p50=%.2gs p99=%.2gs\n"
-          ps.Driver.ps_name ps.Driver.ps_commits ps.Driver.ps_user_aborts ps.Driver.ps_aborts
-          (Obs.hist_percentile ps.Driver.ps_latency 0.50)
-          (Obs.hist_percentile ps.Driver.ps_latency 0.99))
-      r.Driver.programs;
-    if metrics then Fmt.pr "%a@." Obs.pp_metrics r.Driver.metrics;
-    (match (trace, obs) with
-    | Some file, Some o ->
-        Obs.write_trace_file file o;
-        (* stderr, so stdout stays identical with and without --trace *)
-        Printf.eprintf "trace: %d events written to %s\n%!" (Obs.event_count o) file
-    | _ -> ())
+      let obs =
+        if trace <> None || metrics || sc.memory_budget <> None then
+          Some (Obs.create ~trace:(trace <> None) ())
+        else None
+      in
+      let r = Driver.run_once ?obs ~make_db ~mix cfg in
+      Printf.printf "workload=%s isolation=%s mpl=%d seed=%d window=%.2fs\n" sc.workload iso
+        sc.mpl sc.seed sc.duration;
+      Printf.printf "  commits:          %d (%.0f tps)\n" r.Driver.commits r.Driver.throughput;
+      Printf.printf "  user aborts:      %d\n" r.Driver.user_aborts;
+      Printf.printf "  deadlocks:        %d\n" r.Driver.deadlocks;
+      Printf.printf "  fcw conflicts:    %d\n" r.Driver.conflicts;
+      Printf.printf "  unsafe aborts:    %d\n" r.Driver.unsafe;
+      Printf.printf "  other aborts:     %d\n" r.Driver.other_aborts;
+      Printf.printf "  mean response:    %.6fs\n" r.Driver.mean_response;
+      Printf.printf "  aborts/commit:    %.4f\n" r.Driver.aborts_per_commit;
+      pp_memory r.Driver.metrics;
+      List.iter
+        (fun ps ->
+          Printf.printf
+            "  program %-10s commits=%d user_aborts=%d aborts=%d p50=%.2gs p99=%.2gs\n"
+            ps.Driver.ps_name ps.Driver.ps_commits ps.Driver.ps_user_aborts ps.Driver.ps_aborts
+            (Obs.hist_percentile ps.Driver.ps_latency 0.50)
+            (Obs.hist_percentile ps.Driver.ps_latency 0.99))
+        r.Driver.programs;
+      if metrics then Fmt.pr "%a@." Obs.pp_metrics r.Driver.metrics;
+      (match (trace, obs) with
+      | Some file, Some o ->
+          Obs.write_trace_file file o;
+          (* stderr, so stdout stays identical with and without --trace *)
+          Printf.eprintf "trace: %d events written to %s\n%!" (Obs.event_count o) file
+      | _ -> ())
     end
   in
   Cmd.v
     (Cmd.info "bench"
        ~doc:"One measured benchmark run; optionally capture a Chrome trace and engine metrics")
     Term.(
-      const run $ workload_arg $ mpl_arg $ duration_arg $ warmup_arg $ seed_arg $ iso_arg
-      $ trace_arg $ metrics_arg $ bench_seeds_arg $ memb_arg $ jobs_arg)
+      const run $ Scenario.term ~workload:"smallbank" () $ trace_arg $ metrics_arg $ jobs_arg)
 
 (* Windowed sim-time telemetry: run a workload under a tracing sink, build
    a Timeline (lib/obs/timeline.ml) per seed, merge, and export. Stdout is
    byte-identical at any -j (per-seed worlds are independent; the merge is
    order-insensitive), which the dune rules diff to enforce. *)
 let timeline_cmd =
-  let workload_arg =
-    Arg.(
-      value
-      & opt string "sibench"
-      & info [ "workload" ] ~docv:"NAME"
-          ~doc:
-            "Workload: smallbank | sibench | retention (bounded-memory loop with a pinned \
-             snapshot released at 60% of the horizon; ignores --isolation)")
-  in
-  let mpl_arg = Arg.(value & opt int 10 & info [ "mpl" ] ~doc:"Number of concurrent clients") in
-  let duration_arg =
-    Arg.(value & opt float 0.5 & info [ "duration" ] ~doc:"Measured simulated seconds")
-  in
-  let warmup_arg =
-    Arg.(value & opt float 0.1 & info [ "warmup" ] ~doc:"Warmup simulated seconds")
-  in
-  let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Base random seed") in
-  let iso_arg =
-    Arg.(value & opt string "ssi" & info [ "isolation" ] ~doc:"si | ssi | s2pl | rc")
-  in
-  let tl_seeds_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seeds" ] ~docv:"N"
-          ~doc:"Merge timelines over $(docv) seeds (base, base+1, ...); pairs with -j")
-  in
+  let series_conv = Scenario.choice Timeline.series_names in
   let window_arg =
     Arg.(
-      value & opt float 0.05
+      value & opt Scenario.pos_float 0.05
       & info [ "window" ] ~docv:"SECONDS" ~doc:"Window width in simulated seconds")
   in
   let series_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (list series_conv)) None
       & info [ "series" ] ~docv:"NAMES"
           ~doc:"Comma-separated series to export (default: all; see the CSV header)")
   in
@@ -329,7 +218,7 @@ let timeline_cmd =
   let slo_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (pair float float)) None
       & info [ "slo" ] ~docv:"RATE,P95"
           ~doc:
             "Evaluate per-class SLOs: max error aborts per completed transaction and max p95 \
@@ -338,7 +227,7 @@ let timeline_cmd =
   let annotate_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some series_conv) None
       & info [ "annotate" ] ~docv:"SERIES"
           ~doc:"Detect regime shifts (Page-Hinkley) on $(docv) and print the marks")
   in
@@ -351,82 +240,39 @@ let timeline_cmd =
             "Write one Chrome-trace file combining lifecycle spans, resource counters and the \
              timeline series as counter tracks (requires --seeds 1)")
   in
-  let memb_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "memory-budget" ] ~docv:"N"
-          ~doc:"Bound SIREAD/retained-transaction memory to $(docv) entries (0 = unbounded)")
+  let retention =
+    ( "retention",
+      "bounded-memory loop with a pinned snapshot released at 60% of the horizon; ignores \
+       --isolation" )
   in
-  let run workload mpl duration warmup seed iso nseeds window series_sel csv ndjson slo annotate
-      trace mem_budget jobs =
-    if window <= 0.0 then begin
-      prerr_endline "--window must be positive";
-      exit 1
-    end;
-    if trace <> None && nseeds > 1 then begin
+  let run (sc : Scenario.t) window columns csv ndjson slo annotate trace jobs =
+    if trace <> None && sc.nseeds > 1 then begin
       prerr_endline "--trace requires --seeds 1 (a trace captures one run)";
       exit 1
     end;
-    let columns =
-      match series_sel with
-      | None -> None
-      | Some s ->
-          let cols = String.split_on_char ',' s |> List.filter (fun c -> c <> "") in
-          List.iter
-            (fun c ->
-              if not (List.mem c Timeline.series_names) then begin
-                prerr_endline
-                  ("unknown series: " ^ c ^ " (known: "
-                  ^ String.concat ", " Timeline.series_names
-                  ^ ")");
-                exit 1
-              end)
-            cols;
-          Some cols
-    in
-    let horizon = warmup +. duration in
-    let memory_budget = if mem_budget > 0 then Some mem_budget else None in
+    let horizon = sc.warmup +. sc.duration in
     let run_seed s : Timeline.t * Obs.t =
-      if workload = "retention" then begin
+      if sc.workload = "retention" then begin
         let obs, hz =
-          Experiments.retention_timeline_run ?memory_budget ~mpl ~warmup ~duration ~seed:s ()
+          Experiments.retention_timeline_run ?memory_budget:sc.memory_budget ~mpl:sc.mpl
+            ~warmup:sc.warmup ~duration:sc.duration ~seed:s ()
         in
         (Option.get (Timeline.of_obs ~window ~horizon:hz obs), obs)
       end
       else begin
-        let isolation =
-          match isolation_of_string iso with
-          | Some i -> i
-          | None ->
-              prerr_endline ("unknown isolation: " ^ iso);
-              exit 1
-        in
-        let tweak c =
-          if mem_budget > 0 then { c with Core.Config.memory_budget = Some mem_budget } else c
-        in
-        let make_db, mix =
-          match workload_of_string ~tweak workload with
-          | Some w -> w
-          | None ->
-              prerr_endline ("unknown workload: " ^ workload);
-              exit 1
-        in
+        let make_db, mix = Scenario.workload sc in
         let obs = Obs.create ~trace:true ~provenance:true ~metrics:true () in
-        let cfg =
-          { Driver.default_config with Driver.isolation; mpl; warmup; duration; seed = s }
-        in
-        ignore (Driver.run_once ~obs ~make_db ~mix cfg);
+        ignore (Driver.run_once ~obs ~make_db ~mix (Scenario.driver_config ~seed:s sc));
         (Option.get (Timeline.of_obs ~window ~horizon obs), obs)
       end
     in
-    let seeds = List.init nseeds (fun i -> seed + i) in
-    let per_seed = with_jobs jobs (fun pool -> Par.map ?pool run_seed seeds) in
+    let per_seed = with_jobs jobs (fun pool -> Par.map ?pool run_seed (Scenario.seeds sc)) in
     let tl = Timeline.merge (List.map fst per_seed) in
     Printf.printf "timeline workload=%s isolation=%s mpl=%d seeds=%d..%d window=%.4fs windows=%d\n"
-      workload
-      (if workload = "retention" then "ssi" else iso)
-      mpl seed
-      (seed + nseeds - 1)
+      sc.workload
+      (if sc.workload = "retention" then "ssi" else Scenario.isolation_name sc.isolation)
+      sc.mpl sc.seed
+      (sc.seed + sc.nseeds - 1)
       tl.Timeline.tl_width
       (Array.length tl.Timeline.tl_windows);
     let tt = Timeline.totals tl in
@@ -450,21 +296,8 @@ let timeline_cmd =
         write_file file (Buffer.contents buf);
         Printf.eprintf "ndjson: %d windows written to %s\n%!"
           (Array.length tl.Timeline.tl_windows) file);
-    (match slo with
-    | None -> ()
-    | Some spec ->
-        let slo =
-          match String.split_on_char ',' spec with
-          | [ a; p ] -> (
-              match (float_of_string_opt a, float_of_string_opt p) with
-              | Some slo_abort_rate, Some slo_p95 -> { Timeline.slo_abort_rate; slo_p95 }
-              | _ ->
-                  prerr_endline ("bad --slo (want RATE,P95): " ^ spec);
-                  exit 1)
-          | _ ->
-              prerr_endline ("bad --slo (want RATE,P95): " ^ spec);
-              exit 1
-        in
+    Option.iter
+      (fun (slo_abort_rate, slo_p95) ->
         List.iter
           (fun sr ->
             Printf.printf
@@ -473,14 +306,10 @@ let timeline_cmd =
               sr.Timeline.sr_class sr.Timeline.sr_active sr.Timeline.sr_violations
               sr.Timeline.sr_abort_viol sr.Timeline.sr_p95_viol sr.Timeline.sr_time_in_violation
               sr.Timeline.sr_worst_abort_rate sr.Timeline.sr_worst_p95)
-          (Timeline.slo_eval tl slo));
-    (match annotate with
-    | None -> ()
-    | Some name ->
-        if not (List.mem name Timeline.series_names) then begin
-          prerr_endline ("unknown series: " ^ name);
-          exit 1
-        end;
+          (Timeline.slo_eval tl { Timeline.slo_abort_rate; slo_p95 }))
+      slo;
+    Option.iter
+      (fun name ->
         let marks = Timeline.change_points tl ~series:name in
         Printf.printf "regime-shifts series=%s count=%d\n" name (List.length marks);
         List.iter
@@ -488,7 +317,8 @@ let timeline_cmd =
             Printf.printf "mark series=%s window=%d t0=%.4fs direction=%s\n" mk.Timeline.mk_series
               mk.Timeline.mk_window mk.Timeline.mk_ts
               (match mk.Timeline.mk_direction with `Up -> "up" | `Down -> "down"))
-          marks);
+          marks)
+      annotate;
     match (trace, per_seed) with
     | Some file, (_, o) :: _ ->
         Obs.write_trace_file ~extra:(Timeline.counter_records ?columns tl) file o;
@@ -502,46 +332,26 @@ let timeline_cmd =
          "Windowed sim-time telemetry: throughput, abort taxonomy, latency percentiles, \
           retention gauges, wasted work, per-class SLOs and regime-shift marks")
     Term.(
-      const run $ workload_arg $ mpl_arg $ duration_arg $ warmup_arg $ seed_arg $ iso_arg
-      $ tl_seeds_arg $ window_arg $ series_arg $ csv_arg $ ndjson_arg $ slo_arg $ annotate_arg
-      $ trace_arg $ memb_arg $ jobs_arg)
+      const run
+      $ Scenario.term ~extra:[ retention ] ~workload:"sibench" ()
+      $ window_arg $ series_arg $ csv_arg $ ndjson_arg $ slo_arg $ annotate_arg $ trace_arg
+      $ jobs_arg)
 
 let attribute_cmd =
-  let workload_arg =
-    Arg.(
-      value
-      & opt string "sibench"
-      & info [ "workload" ] ~docv:"NAME" ~doc:"Workload: smallbank | sibench")
-  in
-  let mpl_arg = Arg.(value & opt int 10 & info [ "mpl" ] ~doc:"Number of concurrent clients") in
-  let duration_arg =
-    Arg.(value & opt float 0.5 & info [ "duration" ] ~doc:"Measured simulated seconds")
-  in
-  let warmup_arg =
-    Arg.(value & opt float 0.1 & info [ "warmup" ] ~doc:"Warmup simulated seconds")
-  in
-  let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Base random seed") in
-  let iso_arg =
-    Arg.(value & opt string "ssi" & info [ "isolation" ] ~doc:"si | ssi | s2pl | rc")
-  in
-  let at_seeds_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seeds" ] ~docv:"N"
-          ~doc:"Merge sketches over $(docv) seeds (base, base+1, ...); pairs with -j")
-  in
   let window_arg =
     Arg.(
-      value & opt float 0.05
+      value & opt Scenario.pos_float 0.05
       & info [ "window" ] ~docv:"SECONDS"
           ~doc:"Window width for the per-window blame series, simulated seconds")
   in
   let top_arg =
-    Arg.(value & opt int 10 & info [ "top" ] ~docv:"K" ~doc:"Rows in the contention table")
+    Arg.(
+      value & opt Scenario.pos_int 10
+      & info [ "top" ] ~docv:"K" ~doc:"Rows in the contention table")
   in
   let sketch_arg =
     Arg.(
-      value & opt int 256
+      value & opt Scenario.pos_int 256
       & info [ "sketch" ] ~docv:"CAP"
           ~doc:"Space-saving sketch capacity (distinct resources tracked; bounds the error)")
   in
@@ -560,16 +370,17 @@ let attribute_cmd =
   in
   let flightrec_arg =
     Arg.(
-      value & opt int 0
+      value & opt Scenario.nonneg_int 0
       & info [ "flightrec" ] ~docv:"CAP"
           ~doc:
             "Attach a flight recorder with a $(docv)-event ring to the base seed's run (0 = \
              off); pairs with --trigger and --bundle")
   in
   let trigger_arg =
+    let pp ppf t = Format.pp_print_string ppf (Flightrec.trigger_to_string t) in
     Arg.(
       value
-      & opt string "abort_rate:0.5"
+      & opt (conv' (Flightrec.trigger_of_string, pp)) (Flightrec.Abort_storm 0.5)
       & info [ "trigger" ] ~docv:"SPEC"
           ~doc:"Trigger: abort_rate:X | slo | slo:RATE:P95 | regime | regime:SERIES")
   in
@@ -580,63 +391,15 @@ let attribute_cmd =
       & info [ "bundle" ] ~docv:"FILE"
           ~doc:"Write the post-mortem bundle to $(docv) when the trigger fires")
   in
-  let memb_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "memory-budget" ] ~docv:"N"
-          ~doc:"Bound SIREAD/retained-transaction memory to $(docv) entries (0 = unbounded)")
-  in
-  let run workload mpl duration warmup seed iso nseeds window top sketch_cap csv ndjson
-      flightrec trigger bundle mem_budget jobs =
-    if window <= 0.0 then begin
-      prerr_endline "--window must be positive";
-      exit 1
-    end;
-    if sketch_cap < 1 then begin
-      prerr_endline "--sketch must be at least 1";
-      exit 1
-    end;
-    if top < 1 then begin
-      prerr_endline "--top must be at least 1";
-      exit 1
-    end;
-    let trig =
-      if flightrec = 0 then None
-      else
-        match Flightrec.trigger_of_string trigger with
-        | Ok t -> Some t
-        | Error e ->
-            prerr_endline ("bad --trigger: " ^ e);
-            exit 1
-    in
-    let isolation =
-      match isolation_of_string iso with
-      | Some i -> i
-      | None ->
-          prerr_endline ("unknown isolation: " ^ iso);
-          exit 1
-    in
-    let tweak c =
-      if mem_budget > 0 then { c with Core.Config.memory_budget = Some mem_budget } else c
-    in
-    let make_db, mix =
-      match workload_of_string ~tweak workload with
-      | Some w -> w
-      | None ->
-          prerr_endline ("unknown workload: " ^ workload);
-          exit 1
-    in
-    let horizon = warmup +. duration in
+  let run (sc : Scenario.t) window top sketch_cap csv ndjson flightrec trigger bundle jobs =
+    let make_db, mix = Scenario.workload sc in
+    let horizon = sc.warmup +. sc.duration in
     let run_seed s : Obs.t =
       let obs = Obs.create ~trace:true ~provenance:true ~metrics:true ~sketch:sketch_cap () in
-      let cfg =
-        { Driver.default_config with Driver.isolation; mpl; warmup; duration; seed = s }
-      in
-      ignore (Driver.run_once ~obs ~make_db ~mix cfg);
+      ignore (Driver.run_once ~obs ~make_db ~mix (Scenario.driver_config ~seed:s sc));
       obs
     in
-    let seeds = List.init nseeds (fun i -> seed + i) in
-    let per_seed = with_jobs jobs (fun pool -> Par.map ?pool run_seed seeds) in
+    let per_seed = with_jobs jobs (fun pool -> Par.map ?pool run_seed (Scenario.seeds sc)) in
     (* Merge per-seed sketches and fold certificate blame, both in seed
        order — Par.map already returns in input order, so the result is
        byte-identical at any -j. *)
@@ -646,8 +409,10 @@ let attribute_cmd =
     Attrib.blame sk all_certs;
     Printf.printf
       "attribution workload=%s isolation=%s mpl=%d seeds=%d..%d window=%.4fs sketch-capacity=%d\n"
-      workload iso mpl seed
-      (seed + nseeds - 1)
+      sc.workload
+      (Scenario.isolation_name sc.isolation)
+      sc.mpl sc.seed
+      (sc.seed + sc.nseeds - 1)
       window sketch_cap;
     let buf = Buffer.create 4096 in
     Attrib.render_summary buf sk;
@@ -669,8 +434,8 @@ let attribute_cmd =
         Attrib.windows_ndjson b rows;
         write_file file (Buffer.contents b);
         Printf.eprintf "ndjson: %d blame rows written to %s\n%!" (List.length rows) file);
-    match (trig, per_seed) with
-    | Some trigger, o :: _ ->
+    match per_seed with
+    | o :: _ when flightrec > 0 ->
         let events = Obs.events o and certs = Obs.certs o in
         let recorder, incident =
           Flightrec.run ~capacity:flightrec ~window ~horizon ~trigger events certs
@@ -700,95 +465,75 @@ let attribute_cmd =
           conflict edges, lock waits, SIREAD grants and FCW blocks, with abort blame split by \
           certificate edge role) plus an anomaly-triggered flight recorder")
     Term.(
-      const run $ workload_arg $ mpl_arg $ duration_arg $ warmup_arg $ seed_arg $ iso_arg
-      $ at_seeds_arg $ window_arg $ top_arg $ sketch_arg $ csv_arg $ ndjson_arg $ flightrec_arg
-      $ trigger_arg $ bundle_arg $ memb_arg $ jobs_arg)
+      const run $ Scenario.term ~workload:"sibench" () $ window_arg $ top_arg $ sketch_arg
+      $ csv_arg $ ndjson_arg $ flightrec_arg $ trigger_arg $ bundle_arg $ jobs_arg)
 
 let sdg_cmd =
+  let graphs =
+    Catalog.
+      [
+        ("smallbank", smallbank);
+        ("smallbank-materialize-wt", smallbank_materialize_wt);
+        ("smallbank-promote-wt", smallbank_promote_wt);
+        ("smallbank-materialize-bw", smallbank_materialize_bw);
+        ("smallbank-promote-bw", smallbank_promote_bw);
+        ("tpcc", tpcc);
+        ("tpccpp", tpccpp);
+      ]
+  in
   let name_arg =
     Arg.(
       value
-      & pos 0 string "smallbank"
-      & info [] ~docv:"NAME"
-          ~doc:
-            "Graph: smallbank | smallbank-materialize-wt | smallbank-promote-wt | \
-             smallbank-materialize-bw | smallbank-promote-bw | tpcc | tpccpp")
+      & pos 0 (Scenario.choice (List.map fst graphs)) "smallbank"
+      & info [] ~docv:"NAME" ~doc:("Graph: " ^ String.concat " | " (List.map fst graphs)))
   in
   let run name =
-    let g =
-      match name with
-      | "smallbank" -> Some (Catalog.smallbank ())
-      | "smallbank-materialize-wt" -> Some (Catalog.smallbank_materialize_wt ())
-      | "smallbank-promote-wt" -> Some (Catalog.smallbank_promote_wt ())
-      | "smallbank-materialize-bw" -> Some (Catalog.smallbank_materialize_bw ())
-      | "smallbank-promote-bw" -> Some (Catalog.smallbank_promote_bw ())
-      | "tpcc" -> Some (Catalog.tpcc ())
-      | "tpccpp" -> Some (Catalog.tpccpp ())
-      | _ -> None
-    in
-    match g with
-    | None ->
-        prerr_endline ("unknown graph: " ^ name);
-        exit 1
-    | Some g ->
-        Fmt.pr "Static dependency graph '%s' (rw! = vulnerable anti-dependency):@.%a@." name
-          Sdg.pp g;
-        let ds = Sdg.dangerous_structures g in
-        if ds = [] then
-          Fmt.pr "No dangerous structure: every SI execution is serializable (Theorem 3).@."
-        else begin
-          Fmt.pr "DANGEROUS: pivots %a@." Fmt.(list ~sep:comma string) (Sdg.pivots g);
-          List.iter
-            (fun d ->
-              Fmt.pr "  %s -rw!-> %s -rw!-> %s@." d.Sdg.d_in d.Sdg.d_pivot d.Sdg.d_out)
-            ds
-        end
+    let g = (List.assoc name graphs) () in
+    Fmt.pr "Static dependency graph '%s' (rw! = vulnerable anti-dependency):@.%a@." name Sdg.pp g;
+    let ds = Sdg.dangerous_structures g in
+    if ds = [] then
+      Fmt.pr "No dangerous structure: every SI execution is serializable (Theorem 3).@."
+    else begin
+      Fmt.pr "DANGEROUS: pivots %a@." Fmt.(list ~sep:comma string) (Sdg.pivots g);
+      List.iter
+        (fun d -> Fmt.pr "  %s -rw!-> %s -rw!-> %s@." d.Sdg.d_in d.Sdg.d_pivot d.Sdg.d_out)
+        ds
+    end
   in
   Cmd.v
     (Cmd.info "sdg" ~doc:"Analyse a static dependency graph for dangerous structures")
     Term.(const run $ name_arg)
 
 (* Shared by [interleave] and [explore]. *)
-let spec_of_string = function
-  | "write-skew" -> Some Interleave.write_skew_spec
-  | "read-only-anomaly" -> Some Interleave.read_only_anomaly_spec
-  | "paper-4.7" -> Some Interleave.paper_spec
-  | "paper-4.7-4" -> Some Interleave.paper_spec_4
-  | "paper-4.7-5" -> Some Interleave.paper_spec_5
-  | "write-skew-3" -> Some Interleave.write_skew_spec_3
-  | "write-skew-4" -> Some Interleave.write_skew_spec_4
-  | "read-only-anomaly-4" -> Some Interleave.read_only_anomaly_spec_4
-  | _ -> None
+let specs =
+  Interleave.
+    [
+      ("write-skew", write_skew_spec);
+      ("read-only-anomaly", read_only_anomaly_spec);
+      ("paper-4.7", paper_spec);
+      ("paper-4.7-4", paper_spec_4);
+      ("paper-4.7-5", paper_spec_5);
+      ("write-skew-3", write_skew_spec_3);
+      ("write-skew-4", write_skew_spec_4);
+      ("read-only-anomaly-4", read_only_anomaly_spec_4);
+    ]
 
-let spec_doc =
-  "write-skew | read-only-anomaly | paper-4.7 | paper-4.7-4 | paper-4.7-5 | write-skew-3 | \
-   write-skew-4 | read-only-anomaly-4"
+let spec_arg =
+  Arg.(
+    value
+    & opt (Scenario.choice (List.map fst specs)) "write-skew"
+    & info [ "spec" ] ~doc:("Transaction set: " ^ String.concat " | " (List.map fst specs)))
+
+let isolation_arg default =
+  Arg.(
+    value
+    & opt Scenario.isolation_conv default
+    & info [ "isolation" ] ~doc:"si | ssi | s2pl | rc")
 
 let interleave_cmd =
-  let spec_arg =
-    Arg.(
-      value
-      & opt string "write-skew"
-      & info [ "spec" ] ~doc:("Transaction set: " ^ spec_doc))
-  in
-  let iso_arg =
-    Arg.(value & opt string "si" & info [ "isolation" ] ~doc:"si | ssi | s2pl | rc")
-  in
-  let run spec iso =
-    let spec_txns =
-      match spec_of_string spec with
-      | Some s -> s
-      | None ->
-          prerr_endline ("unknown spec: " ^ spec);
-          exit 1
-    in
-    let isolation =
-      match isolation_of_string iso with
-      | Some i -> i
-      | None ->
-          prerr_endline ("unknown isolation: " ^ iso);
-          exit 1
-    in
+  let run spec isolation =
+    let spec_txns = List.assoc spec specs in
+    let iso = Scenario.isolation_name isolation in
     let s = Interleave.sweep ~isolation spec_txns in
     Printf.printf
       "spec=%s isolation=%s: %d interleavings\n\
@@ -802,25 +547,16 @@ let interleave_cmd =
   Cmd.v
     (Cmd.info "interleave"
        ~doc:"Exhaustively execute all interleavings of a transaction set (§4.7)")
-    Term.(const run $ spec_arg $ iso_arg)
+    Term.(const run $ spec_arg $ isolation_arg Core.Types.Snapshot)
 
 (* [explore]: the DPOR schedule explorer — same outcome coverage as a full
    [interleave] sweep at a fraction of the executions. Output is sorted and
    deterministic, byte-identical at any -j (bin/dune diffs -j1 vs -j4). *)
 let explore_cmd =
-  let spec_arg =
-    Arg.(
-      value
-      & opt string "write-skew"
-      & info [ "spec" ] ~doc:("Transaction set: " ^ spec_doc))
-  in
-  let iso_arg =
-    Arg.(value & opt string "ssi" & info [ "isolation" ] ~doc:"si | ssi | s2pl | rc")
-  in
   let matrix_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some matrix_conv) None
       & info [ "matrix" ] ~docv:"NAME"
           ~doc:
             "Explore once per configuration point of the named matrix (default | full) \
@@ -840,30 +576,13 @@ let explore_cmd =
             "Also run the full enumeration and fail unless its outcome-digest set matches \
              (multinomial cost: small specs only)")
   in
-  let run spec iso matrix stats validate jobs =
-    let spec_txns =
-      match spec_of_string spec with
-      | Some s -> s
-      | None ->
-          prerr_endline ("unknown spec: " ^ spec);
-          exit 1
-    in
-    let isolation =
-      match isolation_of_string iso with
-      | Some i -> i
-      | None ->
-          prerr_endline ("unknown isolation: " ^ iso);
-          exit 1
-    in
+  let run spec isolation matrix stats validate jobs =
+    let spec_txns = List.assoc spec specs in
+    let iso = Scenario.isolation_name isolation in
     let points =
       match matrix with
       | None -> [ None ]
-      | Some name -> (
-          match Fuzzcase.matrix_of_string name with
-          | Some m -> List.map (fun p -> Some p) m
-          | None ->
-              prerr_endline ("unknown matrix: " ^ name);
-              exit 1)
+      | Some (_, m) -> List.map (fun p -> Some p) m
     in
     let failed = ref false in
     with_jobs jobs (fun pool ->
@@ -907,7 +626,10 @@ let explore_cmd =
        ~doc:
          "DPOR schedule explorer: exhaustively check a transaction set's outcomes while \
           executing only race-distinct interleavings")
-    Term.(const run $ spec_arg $ iso_arg $ matrix_arg $ stats_arg $ validate_arg $ jobs_arg)
+    Term.(
+      const run $ spec_arg
+      $ isolation_arg Core.Types.Serializable
+      $ matrix_arg $ stats_arg $ validate_arg $ jobs_arg)
 
 let fuzz_cmd =
   let cases_arg =
@@ -916,7 +638,8 @@ let fuzz_cmd =
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Campaign seed") in
   let matrix_arg =
     Arg.(
-      value & opt string "full"
+      value
+      & opt matrix_conv ("full", Fuzzcase.matrix_full)
       & info [ "matrix" ]
           ~doc:"Configuration matrix: full (all knob combinations) | default (paper profiles)")
   in
@@ -1010,14 +733,7 @@ let fuzz_cmd =
           exit 1
         end
   in
-  let campaign cases seed matrix_name out shrink demo jobs =
-    let matrix =
-      match Fuzzcase.matrix_of_string matrix_name with
-      | Some m -> m
-      | None ->
-          prerr_endline ("unknown matrix: " ^ matrix_name);
-          exit 1
-    in
+  let campaign cases seed (matrix_name, matrix) out shrink demo jobs =
     let on_progress p =
       Printf.eprintf "  %d/%d cases (si anomalies %d, unsafe %d)\n%!" p.Fuzz.pr_done
         p.Fuzz.pr_total p.Fuzz.pr_anomalies p.Fuzz.pr_unsafe
@@ -1081,14 +797,7 @@ let fuzz_cmd =
       s.Fuzz.s_failures;
     if s.Fuzz.s_failures <> [] then exit 1
   in
-  let crash_campaign cases seed matrix_name out jobs =
-    let matrix =
-      match Fuzzcase.matrix_of_string matrix_name with
-      | Some m -> m
-      | None ->
-          prerr_endline ("unknown matrix: " ^ matrix_name);
-          exit 1
-    in
+  let crash_campaign cases seed (matrix_name, matrix) out jobs =
     let on_progress p =
       Printf.eprintf "  %d/%d cases (%d crash runs, %d failures)\n%!" p.Fuzzrecover.cp_done
         p.Fuzzrecover.cp_total p.Fuzzrecover.cp_runs p.Fuzzrecover.cp_failures
@@ -1159,27 +868,19 @@ let fuzz_cmd =
 (* [recover]: one deterministic crash+recover+verify roundtrip, printed in
    full — the quickstart (and CI smoke) companion to [fuzz --crash]. *)
 let recover_cmd =
+  let pp_plan ppf p = Format.pp_print_string ppf (Wal.plan_to_string p) in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Case-selection seed") in
   let plan_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (conv (parser_of_kind_of_string ~kind:"a fault plan" Wal.plan_of_string, pp_plan)))
+          None
       & info [ "plan" ] ~docv:"PLAN"
           ~doc:
             "Fault plan: append:N | flush:F:K:T | window:N (default: crash halfway through \
              the case's WAL appends)")
   in
   let run seed plan =
-    let plan =
-      match plan with
-      | None -> None
-      | Some s -> (
-          match Wal.plan_of_string s with
-          | Some p -> Some p
-          | None ->
-              prerr_endline ("bad plan: " ^ s);
-              exit 1)
-    in
     let d = Fuzzrecover.demo ?plan ~seed () in
     Printf.printf "case (seed %d):\n%s" seed (Fuzzcase.to_string d.Fuzzrecover.d_case);
     Printf.printf "crash plan: %s\n" (Wal.plan_to_string d.Fuzzrecover.d_plan);
@@ -1217,36 +918,9 @@ let report_cmd =
   let figures_arg =
     Arg.(
       value
-      & opt (list string) [ "fig6.7" ]
+      & opt (list Scenario.figure_id) [ "fig6.7" ]
       & info [ "figures" ] ~docv:"IDS"
           ~doc:"Comma-separated experiment ids to include as figure tables (see list)")
-  in
-  let workload_arg =
-    Arg.(
-      value & opt string "sibench"
-      & info [ "workload" ] ~docv:"NAME"
-          ~doc:"Workload of the profiled run: smallbank | sibench")
-  in
-  let bmpl_arg =
-    Arg.(value & opt int 10 & info [ "bench-mpl" ] ~doc:"Clients in the profiled run")
-  in
-  let bdur_arg =
-    Arg.(
-      value & opt float 0.5
-      & info [ "bench-duration" ] ~doc:"Measured simulated seconds of the profiled run")
-  in
-  let bwarm_arg =
-    Arg.(
-      value & opt float 0.1
-      & info [ "bench-warmup" ] ~doc:"Warmup simulated seconds of the profiled run")
-  in
-  let bseed_arg =
-    Arg.(value & opt int 1 & info [ "bench-seed" ] ~doc:"Seed of the profiled run")
-  in
-  let biso_arg =
-    Arg.(
-      value & opt string "ssi"
-      & info [ "bench-isolation" ] ~doc:"Isolation of the profiled run: si | ssi | s2pl | rc")
   in
   let fcases_arg =
     Arg.(
@@ -1258,7 +932,8 @@ let report_cmd =
   in
   let matrix_arg =
     Arg.(
-      value & opt string "default"
+      value
+      & opt matrix_conv ("default", Fuzzcase.matrix_default)
       & info [ "matrix" ] ~doc:"Fuzz configuration matrix: full | default")
   in
   let topk_arg =
@@ -1311,8 +986,8 @@ let report_cmd =
         prerr_endline "internal error: write-skew demo emitted no certificate";
         exit 1
   in
-  let run figures quick seeds duration mpls workload bmpl bdur bwarm bseed biso fcases fseed
-      matrix_name topk bins out dot check_dot jobs =
+  let run figures budget (sc : Scenario.t) fcases fseed (matrix_name, matrix) topk bins out dot
+      check_dot jobs =
     match check_dot with
     | Some file -> (
         match Obs.dot_validate (read_file file) with
@@ -1321,48 +996,9 @@ let report_cmd =
             Printf.eprintf "%s: invalid DOT: %s\n" file e;
             exit 1)
     | None ->
-        let isolation =
-          match isolation_of_string biso with
-          | Some i -> i
-          | None ->
-              prerr_endline ("unknown isolation: " ^ biso);
-              exit 1
-        in
-        let make_db, mix =
-          match workload_of_string workload with
-          | Some w -> w
-          | None ->
-              prerr_endline ("unknown workload: " ^ workload);
-              exit 1
-        in
-        let matrix =
-          match Fuzzcase.matrix_of_string matrix_name with
-          | Some m -> m
-          | None ->
-              prerr_endline ("unknown matrix: " ^ matrix_name);
-              exit 1
-        in
-        let budget =
-          if quick then Experiments.quick_budget
-          else
-            {
-              Experiments.seeds = List.init seeds (fun i -> i + 1);
-              duration;
-              warmup = duration /. 4.0;
-              mpls;
-              with_metrics = false;
-            }
-        in
-        let plans =
-          List.filter_map
-            (fun id ->
-              match Experiments.find_figure id with
-              | Some mk -> Some (mk budget)
-              | None ->
-                  Printf.eprintf "unknown experiment %s (skipped)\n%!" id;
-                  None)
-            figures
-        in
+        let make_db, mix = Scenario.workload sc in
+        let biso = Scenario.isolation_name sc.isolation in
+        let plans = List.map (fun id -> List.assoc id Experiments.all_figures budget) figures in
         let figs = with_jobs jobs (fun pool -> Experiments.eval_plans ?pool plans) in
         (* Profiled run: trace on (lifecycle spans + resource samples),
            metrics on, plus the contention sketch and certificates feeding
@@ -1370,25 +1006,16 @@ let report_cmd =
            out-of-band, so the measured numbers are identical to an
            untraced run. *)
         let obs = Obs.create ~trace:true ~provenance:true ~sketch:256 () in
-        let cfg =
-          {
-            Driver.default_config with
-            Driver.isolation;
-            mpl = bmpl;
-            warmup = bwarm;
-            duration = bdur;
-            seed = bseed;
-          }
-        in
-        let r = Driver.run_once ~obs ~make_db ~mix cfg in
+        let r = Driver.run_once ~obs ~make_db ~mix (Scenario.driver_config sc) in
         let bench =
           {
             Report.b_label =
-              Printf.sprintf "%s %s mpl=%d seed=%d window=%.2fs" workload biso bmpl bseed bdur;
+              Printf.sprintf "%s %s mpl=%d seed=%d window=%.2fs" sc.workload biso sc.mpl sc.seed
+                sc.duration;
             b_result = r;
             b_obs = obs;
-            b_t0 = bwarm;
-            b_t1 = bwarm +. bdur;
+            b_t0 = sc.warmup;
+            b_t1 = sc.warmup +. sc.duration;
           }
         in
         let certs = Fuzzcert.collect_certs ~seed:fseed ~cases:fcases ~matrix () in
@@ -1413,7 +1040,7 @@ let report_cmd =
               budget.Experiments.duration
               (String.concat "," (List.map string_of_int budget.Experiments.mpls));
             Printf.sprintf "- profiled run: %s at %s, mpl=%d, seed=%d, %.2fs after %.2fs warmup"
-              workload biso bmpl bseed bdur bwarm;
+              sc.workload biso sc.mpl sc.seed sc.duration sc.warmup;
             Printf.sprintf "- abort provenance: %d fuzz cases, seed=%d, matrix=%s" fcases fseed
               matrix_name;
           ]
@@ -1455,9 +1082,10 @@ let report_cmd =
          "Render one self-contained Markdown report: figure tables, a profiled run with \
           utilisation sparklines, and top-k abort certificates from a fuzz campaign")
     Term.(
-      const run $ figures_arg $ quick_arg $ seeds_arg $ duration_arg $ mpl_arg $ workload_arg
-      $ bmpl_arg $ bdur_arg $ bwarm_arg $ bseed_arg $ biso_arg $ fcases_arg $ fseed_arg
-      $ matrix_arg $ topk_arg $ bins_arg $ out_arg $ dot_arg $ check_dot_arg $ jobs_arg)
+      const run $ figures_arg $ Scenario.budget
+      $ Scenario.single ~prefix:"bench-" ~workload:"sibench" ()
+      $ fcases_arg $ fseed_arg $ matrix_arg $ topk_arg $ bins_arg $ out_arg $ dot_arg
+      $ check_dot_arg $ jobs_arg)
 
 let () =
   let info =

@@ -191,9 +191,9 @@ let print_figure fmt f =
 let bdb_budget (b : budget) =
   { b with duration = Float.max b.duration 1.5; warmup = Float.max b.warmup 0.25 }
 
-let smallbank_db ?(customers = 20_000) ?(wal_mode = Wal.No_flush) () =
+let smallbank_db ?(customers = 20_000) ?(wal_mode = Wal.No_flush) ?(tweak = Fun.id) () =
  fun sim ->
-  let db = Db.create ~config:(Config.bdb ~wal_mode ()) sim in
+  let db = Db.create ~config:(tweak (Config.bdb ~wal_mode ())) sim in
   Smallbank.setup db ~customers ();
   db
 
@@ -315,9 +315,9 @@ let fig6_11 = sibench_fig ~fig_id:"fig6.11" ~items:1000 ~queries_per_update:10
 
 (* {1 InnoDB / TPC-C++ experiments (§6.4)} *)
 
-let tpcc_db ?(read_miss = 0.0) ~scale () =
+let tpcc_db ?(read_miss = 0.0) ?(tweak = Fun.id) ~scale () =
  fun sim ->
-  let config = { (Config.innodb ()) with Config.read_miss } in
+  let config = tweak { (Config.innodb ()) with Config.read_miss } in
   let db = Db.create ~config sim in
   Tpcc.setup db ~scale ();
   db

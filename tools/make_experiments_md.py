@@ -1,13 +1,20 @@
 #!/usr/bin/env python3
-"""Generate EXPERIMENTS.md from bench_output.txt: for each experiment, the
-paper's expected result, our measured table, and a verdict."""
+"""Generate EXPERIMENTS.md from bench_output.txt, the stdout of
+`ssi_bench run` (all figures and ablations at the full budget):
+
+    dune exec bin/ssi_bench.exe -- run -j 2 > bench_output.txt
+    python3 tools/make_experiments_md.py
+
+For each experiment: the paper's expected result, our measured table, and a
+verdict."""
 import re, sys
 
 src = open('bench_output.txt').read()
 
 blocks = {}
-for m in re.finditer(r"=== (\S+): (.*?) ===\n(.*?)\n\[(\S+) took", src, re.S):
-    fig, title, body, _ = m.groups()
+# A block runs from its "=== id: title ===" header to the next header or EOF.
+for m in re.finditer(r"^=== (\S+): (.*?) ===\n(.*?)(?=^=== |\Z)", src, re.S | re.M):
+    fig, title, body = m.groups()
     blocks[fig] = (title, body.strip())
 
 verdicts = {
@@ -72,11 +79,12 @@ out = []
 out.append("""# EXPERIMENTS — paper vs. measured
 
 Every figure of the paper's evaluation (Chapter 6) regenerated by
-`dune exec bench/main.exe` (full tables in `bench_output.txt`, reproduced
-below). Throughput is commits per **simulated** second on the substitute
-substrates described in DESIGN.md, so absolute values are not comparable
-with the paper's 2008 hardware; the reproduced claims are the **shapes**:
-which algorithm wins, by roughly what factor, and where behaviour changes.
+`dune exec bin/ssi_bench.exe -- run` (full tables in `bench_output.txt`,
+reproduced below). Throughput is commits per **simulated** second on the
+substitute substrates described in DESIGN.md, so absolute values are not
+comparable with the paper's 2008 hardware; the reproduced claims are the
+**shapes**: which algorithm wins, by roughly what factor, and where
+behaviour changes.
 All points are means over 3 seeds with 95% confidence half-widths; abort
 columns are deadlock / first-committer-wins / unsafe percentages per commit
 (the paper's paired "(b)" charts), plus the lock-table size at the end of
@@ -109,11 +117,6 @@ for fig in order:
     out.append(f"**Paper:** {paper}\n")
     out.append(f"**Verdict:** {verdict}\n")
     out.append("```\n" + body + "\n```\n")
-
-micro = re.search(r"=== Bechamel micro-benchmarks.*", src, re.S)
-if micro:
-    out.append("## Engine micro-benchmarks (Bechamel, wall-clock)\n")
-    out.append("```\n" + micro.group(0).strip() + "\n```\n")
 
 open('EXPERIMENTS.md','w').write("\n".join(out))
 print("wrote EXPERIMENTS.md,", len(blocks), "blocks")
