@@ -110,7 +110,7 @@ let acquire t mode resource =
 
 (* SIREAD acquisition: never blocks, at most one entry per resource. *)
 let acquire_siread ?(charge = true) t resource =
-  if not (List.mem Lockmgr.Siread (Lockmgr.holds_of t.db.locks ~owner:t.id resource)) then begin
+  if not (Lockmgr.holds t.db.locks ~owner:t.id ~mode:Lockmgr.Siread resource) then begin
     if charge then charge_lock_ops t.db 1;
     Lockmgr.acquire t.db.locks ~owner:t.id ~mode:Lockmgr.Siread resource;
     t.siread_count <- t.siread_count + 1;
@@ -137,7 +137,7 @@ let promote_page t table_name page pr =
   List.iter
     (fun key ->
       let r = row_resource table_name key in
-      if List.mem Lockmgr.Siread (Lockmgr.holds_of db.locks ~owner:t.id r) then begin
+      if Lockmgr.holds db.locks ~owner:t.id ~mode:Lockmgr.Siread r then begin
         Lockmgr.release_one db.locks ~owner:t.id ~mode:Lockmgr.Siread r;
         t.siread_count <- t.siread_count - 1;
         db.n_siread_entries <- db.n_siread_entries - 1
@@ -153,11 +153,11 @@ let promote_page t table_name page pr =
     Obs.emit db.obs ~ts:(Sim.now db.sim)
       (Obs.Promotion { txn = t.id; table = table_name; page; rows = pr.pr_count })
 
-(* Row SIREAD for a point read, routed through the promotion tracker when a
-   memory budget is configured. A promoted page already covers the row, so
-   no new entry is needed (the caller still runs [mark_x_holders] on the
-   row itself). *)
-let siread_row t table_name key ~leaves =
+(* Row SIREAD on [r], the resource of [key], for a point read, routed
+   through the promotion tracker when a memory budget is configured. A
+   promoted page already covers the row, so no new entry is needed (the
+   caller still runs [mark_x_holders] on the row itself). *)
+let siread_row t table_name key r ~leaves =
   let db = t.db in
   match leaves with
   | page :: _ when bounded db ->
@@ -170,7 +170,7 @@ let siread_row t table_name key ~leaves =
             pr
       in
       if not pr.pr_promoted then begin
-        acquire_siread t (row_resource table_name key);
+        acquire_siread t r;
         if not (List.mem key pr.pr_rows) then begin
           pr.pr_rows <- key :: pr.pr_rows;
           pr.pr_count <- pr.pr_count + 1;
@@ -178,7 +178,7 @@ let siread_row t table_name key ~leaves =
             promote_page t table_name page pr
         end
       end
-  | _ -> acquire_siread t (row_resource table_name key)
+  | _ -> acquire_siread t r
 
 (* Fig 3.4 line 3 / Fig 3.6 line 3: after taking SIREAD, every concurrently
    held X lock on the resource marks an rw-edge from us to its owner.
@@ -186,26 +186,27 @@ let siread_row t table_name key ~leaves =
    passes [Obs.Gap]). *)
 let mark_x_holders ?(source = Obs.Siread_vs_x) t resource =
   touch t resource;
-  List.iter
-    (fun (owner, mode) ->
-      if mode = Lockmgr.X && owner <> t.id then
-        match find_txn t.db owner with
-        | Some writer -> Conflict.mark ~source ~resource ~self:t ~reader:t ~writer
-        | None -> ())
-    (Lockmgr.holders t.db.locks resource)
+  let owner = Lockmgr.x_owner t.db.locks resource in
+  if owner <> Lockmgr.no_owner && owner <> t.id then
+    match find_txn t.db owner with
+    | Some writer -> Conflict.mark ~source ~resource ~self:t ~reader:t ~writer
+    | None -> ()
 
 (* Fig 3.5 lines 4-6 / Fig 3.7: after taking X, every SIREAD on the resource
    whose owner overlaps us (not yet committed, or committed after our read
    view) marks an rw-edge from the reader to us. The sentinel owner pools
    the SIREADs of summarized committed readers (bounded-memory mode); the
    summary entry's max commit timestamp runs the same overlap test,
-   conservatively (it is >= every folded reader's actual commit). *)
+   conservatively (it is >= every folded reader's actual commit). Marking
+   changes no holds on [resource], as [Lockmgr.iter_siread_holders]
+   requires: it can cancel a victim's lock wait, but a waiter on [resource]
+   waits behind our X (row-mode pages take SIREADs only), so nothing is
+   granted there. *)
 let mark_siread_holders ?(source = Obs.Siread_vs_x) t resource =
   touch t resource;
   let snap = snapshot_exn t in
-  List.iter
-    (fun (owner, mode) ->
-      if mode = Lockmgr.Siread && owner <> t.id then
+  Lockmgr.iter_siread_holders t.db.locks resource (fun owner ->
+      if owner <> t.id then
         match find_txn t.db owner with
         | Some reader ->
             if (not (has_committed reader)) || commit_time reader > float_of_int snap then
@@ -216,16 +217,14 @@ let mark_siread_holders ?(source = Obs.Siread_vs_x) t resource =
               | Some s when s.sm_commit_ts > snap ->
                   Conflict.mark_summarized_reader ~source ~resource ~self:t ~sm_in:s.sm_in
               | _ -> ()))
-    (Lockmgr.holders t.db.locks resource)
 
 (* Fig 3.4 lines 8-9: versions of the item newer than our snapshot were
    ignored by this read; each marks an rw-edge from us to its creator.
    Because committed transactions are retained while any overlapping
    transaction runs, a creator of a version newer than our snapshot is
    always findable; if it is somehow gone (bulk-loaded data), we set our
-   outgoing flag conservatively. *)
-let mark_newer_versions t table_name key chain snap =
-  let resource = row_resource table_name key in
+   outgoing flag conservatively. [resource] is the item's row resource. *)
+let mark_newer_versions t resource chain snap =
   touch t resource;
   List.iter
     (fun (v : Mvstore.version) ->
@@ -248,10 +247,10 @@ let mark_newer_versions t table_name key chain snap =
    so a page updated after our snapshot is an ignored newer version of
    everything on it (the false-positive source of §6.1.5). *)
 let mark_page_stamp t table_name page snap =
-  touch t (page_resource table_name page);
+  let resource = page_resource table_name page in
+  touch t resource;
   match Hashtbl.find_opt t.db.page_stamps (table_name, page) with
   | Some (ts, writer_id) when ts > snap && writer_id <> t.id -> (
-      let resource = page_resource table_name page in
       match find_txn t.db writer_id with
       | Some writer -> Conflict.mark ~source:Obs.Page_stamp ~resource ~self:t ~reader:t ~writer
       | None ->
@@ -303,19 +302,14 @@ let propagate_splits db table_name (access : Btree.access) =
             summary_add db new_r ~commit_ts:s.sm_commit_ts ~in_conflict:s.sm_in
               ~out_conflict:s.sm_out
         | None -> ());
-        List.iter
-          (fun (owner, mode) ->
-            if
-              mode = Lockmgr.Siread
-              && not (List.mem Lockmgr.Siread (Lockmgr.holds_of db.locks ~owner new_r))
-            then begin
+        Lockmgr.iter_siread_holders db.locks old_r (fun owner ->
+            if not (Lockmgr.holds db.locks ~owner ~mode:Lockmgr.Siread new_r) then begin
               Lockmgr.acquire db.locks ~owner ~mode:Lockmgr.Siread new_r;
               db.n_siread_entries <- db.n_siread_entries + 1;
               match find_txn db owner with
               | Some reader -> reader.siread_count <- reader.siread_count + 1
               | None -> ()
-            end)
-          (Lockmgr.holders db.locks old_r))
+            end))
       access.Btree.splits
 
 let is_ssi t = t.isolation = Serializable
@@ -375,9 +369,10 @@ let do_read t table_name key =
           charge_cpu db db.config.Config.cost.Config.c_read;
           charge_row_io db 1;
           check_doom t;
+          let r = row_resource table_name key in
           (* Footprint: every isolation level reads this key's version
              chain, with or without locks (RC/SI take none). *)
-          touch t (row_resource table_name key);
+          touch t r;
           match t.isolation with
           | Read_committed ->
               let chain, access = Mvstore.find_chain_path table key in
@@ -393,7 +388,7 @@ let do_read t table_name key =
               let rec locked_access () =
                 let _, access = Mvstore.find_chain_path table key in
                 (match db.config.Config.granularity with
-                | Config.Row -> acquire t Lockmgr.S (row_resource table_name key)
+                | Config.Row -> acquire t Lockmgr.S r
                 | Config.Page -> lock_pages_for_read t table_name access);
                 let _, access' = Mvstore.find_chain_path table key in
                 if access'.Btree.leaves <> access.Btree.leaves then locked_access ()
@@ -411,13 +406,13 @@ let do_read t table_name key =
               if is_ssi t then begin
                 (match db.config.Config.granularity with
                 | Config.Row ->
-                    siread_row t table_name key ~leaves:access.Btree.leaves;
-                    mark_x_holders t (row_resource table_name key)
+                    siread_row t table_name key r ~leaves:access.Btree.leaves;
+                    mark_x_holders t r
                 | Config.Page ->
                     lock_pages_for_read t table_name access;
                     mark_path_stamps t table_name access snap);
                 match chain with
-                | Some c -> mark_newer_versions t table_name key c snap
+                | Some c -> mark_newer_versions t r c snap
                 | None -> ()
               end;
               let v = Option.bind chain (fun c -> Mvstore.visible c ~snapshot:snap) in
@@ -428,7 +423,8 @@ let do_read t table_name key =
 
 (* Acquire the X lock protecting [key]'s row or page, honouring the SIREAD
    upgrade optimisation (§3.7.3), then run first-committer-wins and the
-   write-side conflict checks. Returns the chain to buffer against.
+   write-side conflict checks. [r] is [key]'s row resource. Returns the
+   chain to buffer against.
 
    [will_write] tells us the caller is certain to buffer a write: only then
    may an existing SIREAD be discarded under §3.7.3, because the upgrade is
@@ -438,19 +434,18 @@ let do_read t table_name key =
    read (or a delete that finds nothing) installs no version, so dropping
    its SIREAD would erase the read from conflict tracking the moment the X
    lock is released at commit. *)
-let lock_for_write t table_name key ~will_write =
+let lock_for_write t table_name key r ~will_write =
   let db = t.db in
   let table = table_exn db table_name in
   let config = db.config in
   (* Footprint: the row's chain is read (first-committer-wins) and will gain
      a version — at Page granularity no row lock reports it. *)
-  touch_w t (row_resource table_name key);
+  touch_w t r;
   (match config.Config.granularity with
   | Config.Row ->
-      let r = row_resource table_name key in
       if
         config.Config.upgrade_siread && is_ssi t && will_write
-        && List.mem Lockmgr.Siread (Lockmgr.holds_of db.locks ~owner:t.id r)
+        && Lockmgr.holds db.locks ~owner:t.id ~mode:Lockmgr.Siread r
       then begin
         Lockmgr.release_one db.locks ~owner:t.id ~mode:Lockmgr.Siread r;
         t.siread_count <- t.siread_count - 1;
@@ -461,16 +456,16 @@ let lock_for_write t table_name key ~will_write =
       let _, access = Mvstore.find_chain_path table key in
       List.iter
         (fun p ->
-          let r = page_resource table_name p in
+          let page_r = page_resource table_name p in
           if
             config.Config.upgrade_siread && is_ssi t && will_write
-            && List.mem Lockmgr.Siread (Lockmgr.holds_of db.locks ~owner:t.id r)
+            && Lockmgr.holds db.locks ~owner:t.id ~mode:Lockmgr.Siread page_r
           then begin
-            Lockmgr.release_one db.locks ~owner:t.id ~mode:Lockmgr.Siread r;
+            Lockmgr.release_one db.locks ~owner:t.id ~mode:Lockmgr.Siread page_r;
             t.siread_count <- t.siread_count - 1;
             db.n_siread_entries <- db.n_siread_entries - 1
           end;
-          acquire t Lockmgr.X r)
+          acquire t Lockmgr.X page_r)
         access.Btree.leaves);
   (* Read view only after the first lock is granted (§4.5): single-statement
      updates never abort under first-committer-wins. *)
@@ -497,9 +492,8 @@ let lock_for_write t table_name key ~will_write =
       if Mvstore.has_newer chain ~than:snap then begin
         (match Mvstore.newer_versions chain ~than:snap with
         | v :: _ ->
-            Provenance.emit_fcw t
-              ~resource:(row_resource table_name key)
-              ~blocking_commit:v.Mvstore.commit_ts ~blocking_writer:v.Mvstore.creator
+            Provenance.emit_fcw t ~resource:r ~blocking_commit:v.Mvstore.commit_ts
+              ~blocking_writer:v.Mvstore.creator
         | [] -> ());
         raise (Abort Update_conflict)
       end;
@@ -520,7 +514,7 @@ let lock_for_write t table_name key ~will_write =
   if is_ssi t then begin
     (match config.Config.granularity with
     | Config.Row ->
-        mark_siread_holders t (row_resource table_name key);
+        mark_siread_holders t r;
         (* Bounded-memory mode: promoted readers and the summarized-reader
            pool hold page SIREADs instead of row SIREADs, so the write must
            also be checked against the page resources of the leaves it
@@ -539,10 +533,10 @@ let lock_for_write t table_name key ~will_write =
 (* The SIREAD trace of a locking read that installs no version: the X lock
    subsumes SIREAD only while held, and write locks are released at commit.
    No [mark_x_holders] pass is needed — we hold the X lock ourselves, so no
-   concurrent writer can. *)
-let siread_after_x t table_name key =
+   concurrent writer can. [r] is [key]'s row resource. *)
+let siread_after_x t table_name key r =
   match t.db.config.Config.granularity with
-  | Config.Row -> acquire_siread t (row_resource table_name key)
+  | Config.Row -> acquire_siread t r
   | Config.Page ->
       let table = table_exn t.db table_name in
       let _, access = Mvstore.find_chain_path table key in
@@ -563,8 +557,9 @@ let do_read_for_update t table_name key =
       match own_write t table_name key with
       | Some v -> v
       | None ->
-          let chain = lock_for_write t table_name key ~will_write:false in
-          if is_ssi t then siread_after_x t table_name key;
+          let r = row_resource table_name key in
+          let chain = lock_for_write t table_name key r ~will_write:false in
+          if is_ssi t then siread_after_x t table_name key r;
           let v =
             match t.isolation with
             | Read_committed | S2pl -> Mvstore.latest chain
@@ -583,7 +578,8 @@ let do_write t table_name key value =
       charge_cpu db db.config.Config.cost.Config.c_write;
       charge_row_io db 1;
       check_doom t;
-      let _chain = lock_for_write t table_name key ~will_write:true in
+      let r = row_resource table_name key in
+      let _chain = lock_for_write t table_name key r ~will_write:true in
       buffer_write t table_name key (Some value))
 
 (* {1 Insert / Delete with phantom protection (Fig 3.7)} *)
@@ -638,7 +634,8 @@ let do_insert t table_name key value =
       check_doom t;
       (* Gap lock first (before the index entry appears), then the row. *)
       lock_gap_for_write t table_name key;
-      let chain = lock_for_write t table_name key ~will_write:true in
+      let r = row_resource table_name key in
+      let chain = lock_for_write t table_name key r ~will_write:true in
       (* Duplicate detection: a live committed latest version, or our own
          buffered live write; our own buffered delete makes the key free. *)
       (match own_write t table_name key with
@@ -657,7 +654,8 @@ let do_delete t table_name key =
       charge_cpu db db.config.Config.cost.Config.c_write;
       check_doom t;
       lock_gap_for_write t table_name key;
-      let chain = lock_for_write t table_name key ~will_write:false in
+      let r = row_resource table_name key in
+      let chain = lock_for_write t table_name key r ~will_write:false in
       (* A delete is a locking read of the row's visibility followed by a
          conditional write; the read is logged so the MVSG checker sees the
          rw-edge when someone re-creates the key. *)
@@ -675,7 +673,7 @@ let do_delete t table_name key =
             (match v with Some { value = Some _; _ } -> true | _ -> false)
       in
       if existed then buffer_write t table_name key None
-      else if is_ssi t then siread_after_x t table_name key;
+      else if is_ssi t then siread_after_x t table_name key r;
       existed)
 
 (* {1 Predicate read (range scan) with next-key gap locking (Fig 3.6)} *)
@@ -799,7 +797,7 @@ let do_scan ?lo ?hi ?limit t table_name =
                 acquire_siread ~charge:false t g;
                 mark_x_holders ~source:Obs.Gap t g
               end;
-              mark_newer_versions t table_name key chain snap
+              mark_newer_versions t r chain snap
           | _ -> ());
           let v =
             match own_write t table_name key with
@@ -978,9 +976,7 @@ let drain_summary db min_snap =
         (match Hashtbl.find_opt db.summary resource with
         | Some s when s.sm_commit_ts <= min_snap ->
             Hashtbl.remove db.summary resource;
-            if
-              List.mem Lockmgr.Siread
-                (Lockmgr.holds_of db.locks ~owner:summary_owner resource)
+            if Lockmgr.holds db.locks ~owner:summary_owner ~mode:Lockmgr.Siread resource
             then begin
               Lockmgr.release_one db.locks ~owner:summary_owner ~mode:Lockmgr.Siread resource;
               db.n_siread_entries <- db.n_siread_entries - 1

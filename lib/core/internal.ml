@@ -188,13 +188,24 @@ let ref_is_set = function No_conflict -> false | Self_conflict | Conflict_with _
 
 (* {1 Lock resource encodings} *)
 
-let row_resource table key = "r/" ^ table ^ "/" ^ key
+(* "<kind>/<table>/<name>", built in one allocation. *)
+let resource_name kind table name =
+  let lt = String.length table and ln = String.length name in
+  let b = Bytes.create (lt + ln + 3) in
+  Bytes.set b 0 kind;
+  Bytes.set b 1 '/';
+  Bytes.blit_string table 0 b 2 lt;
+  Bytes.set b (lt + 2) '/';
+  Bytes.blit_string name 0 b (lt + 3) ln;
+  Bytes.unsafe_to_string b
 
-let gap_resource table key = "g/" ^ table ^ "/" ^ key
+let row_resource table key = resource_name 'r' table key
 
-let gap_supremum table = "g/" ^ table ^ "/\xff\xff(sup)"
+let gap_resource table key = resource_name 'g' table key
 
-let page_resource table page = Printf.sprintf "p/%s/%d" table page
+let gap_supremum table = resource_name 'g' table "\xff\xff(sup)"
+
+let page_resource table page = resource_name 'p' table (string_of_int page)
 
 (* Per-transaction doom flag, as a resource name for the DPOR footprint:
    Conflict.claim_victim writes it, every check_doom reads its own. The "x/"

@@ -4,8 +4,11 @@
    classical strict-2PL lock manager, with FIFO queuing and deadlock
    handling. SIREAD (§3.2) never blocks and never delays anyone; it is a
    lock-table *annotation* recording that an SI transaction read an item, so
-   that a later X acquisition can detect the rw-dependency. The engine layer
-   inspects {!holders} after each grant to run markConflict.
+   that a later X acquisition can detect the rw-dependency. The engine runs
+   markConflict from two questions about a resource's entry: a reader asks
+   for its X owner ({!x_owner}, O(1): X is exclusive, so each entry records
+   its one X holder) and a writer walks its SIREAD holders
+   ({!iter_siread_holders}, without building a list).
 
    Resources are strings; the engine encodes row keys, gap keys and page ids
    into them. Owners are integer transaction ids.
@@ -21,6 +24,8 @@ let mode_to_string = function S -> "S" | X -> "X" | Siread -> "SIREAD"
 
 type owner = int
 
+let no_owner = min_int
+
 exception Deadlock_victim
 
 (* Only S-X, X-S and X-X block; SIREAD conflicts with nothing. *)
@@ -29,23 +34,112 @@ let blocks requested held =
   | X, X | X, S | S, X -> true
   | S, S | Siread, _ | _, Siread -> false
 
-type counts = { mutable s : int; mutable x : int; mutable siread : int }
+(* One owner's holds on one resource: a count of recursive acquisitions per
+   mode, and the link to the next hold in the same bucket of the resource's
+   owner table. *)
+type hold = {
+  owner : owner;
+  mutable s : int;
+  mutable x : int;
+  mutable siread : int;
+  mutable next : hold; (* [nil] ends a chain *)
+}
 
-let count_of c = function S -> c.s | X -> c.x | Siread -> c.siread
+let rec nil = { owner = no_owner; s = 0; x = 0; siread = 0; next = nil }
 
-let add_count c m n =
-  match m with
-  | S -> c.s <- c.s + n
-  | X -> c.x <- c.x + n
-  | Siread -> c.siread <- c.siread + n
+let count_of h = function S -> h.s | X -> h.x | Siread -> h.siread
+
+(* Whether another owner's hold [h] makes a request for [mode] wait. *)
+let hold_blocks mode h =
+  match mode with X -> h.s > 0 || h.x > 0 | S -> h.x > 0 | Siread -> false
 
 type waiter = { wowner : owner; wmode : mode; waker : Sim.waker }
 
+(* A resource's lock-table entry. The holds form a chained hash table on the
+   owner with the stdlib [Hashtbl]'s layout: 16 initial buckets, insertion at
+   the head of a chain, and an order-preserving doubling once there are more
+   than two holds per bucket. That layout fixes the order of {!holders} and
+   {!iter_siread_holders}, and with it the order in which a writer marks
+   conflicts, so it is part of the simulated outcome. *)
 type lock = {
   resource : string;
-  holds : (owner, counts) Hashtbl.t;
+  mutable buckets : hold array;
+  mutable n_holds : int;
+  mutable x_owner : owner; (* the one owner holding X, or [no_owner] *)
   mutable queue : waiter list; (* FIFO: head is served first *)
 }
+
+(* Stands for "no entry": holds nothing, and is never in the table. *)
+let no_lock =
+  { resource = "(no lock)"; buckets = [| nil |]; n_holds = 0; x_owner = no_owner; queue = [] }
+
+let bucket_of l owner = Hashtbl.hash owner land (Array.length l.buckets - 1)
+
+let find_hold l owner =
+  let rec go h = if h == nil || h.owner = owner then h else go h.next in
+  go l.buckets.(bucket_of l owner)
+
+(* Double the bucket array. Each new chain keeps the relative order its
+   holds had in the old chains, as the stdlib's resize does. *)
+let resize l =
+  let old = l.buckets in
+  let n = 2 * Array.length old in
+  let buckets = Array.make n nil and tails = Array.make n nil in
+  l.buckets <- buckets;
+  let rec move h =
+    if h != nil then begin
+      let next = h.next in
+      let i = bucket_of l h.owner in
+      if tails.(i) == nil then buckets.(i) <- h else tails.(i).next <- h;
+      tails.(i) <- h;
+      h.next <- nil;
+      move next
+    end
+  in
+  Array.iter move old
+
+let add_hold l owner =
+  let i = bucket_of l owner in
+  let h = { owner; s = 0; x = 0; siread = 0; next = l.buckets.(i) } in
+  l.buckets.(i) <- h;
+  l.n_holds <- l.n_holds + 1;
+  if l.n_holds > 2 * Array.length l.buckets then resize l;
+  h
+
+let remove_hold l h =
+  let i = bucket_of l h.owner in
+  if l.buckets.(i) == h then l.buckets.(i) <- h.next
+  else begin
+    let rec unlink p =
+      if p != nil then if p.next == h then p.next <- h.next else unlink p.next
+    in
+    unlink l.buckets.(i)
+  end;
+  l.n_holds <- l.n_holds - 1
+
+(* Holds in bucket order, each chain from its head: the stdlib's fold
+   order. *)
+let rec fold_chain f h acc = if h == nil then acc else fold_chain f h.next (f h acc)
+
+let fold_holds f l acc =
+  let acc = ref acc in
+  Array.iter (fun chain -> acc := fold_chain f chain !acc) l.buckets;
+  !acc
+
+let rec chain_conflicts ~owner ~mode h =
+  h != nil && ((h.owner <> owner && hold_blocks mode h) || chain_conflicts ~owner ~mode h.next)
+
+(* Would a request by [owner] for [mode] conflict with current holders? *)
+let conflicts_with_holders l ~owner ~mode =
+  match mode with
+  | Siread -> false
+  | S -> l.x_owner <> no_owner && l.x_owner <> owner
+  | X ->
+      let b = l.buckets and found = ref false in
+      for i = 0 to Array.length b - 1 do
+        if (not !found) && chain_conflicts ~owner ~mode b.(i) then found := true
+      done;
+      !found
 
 type detection = Immediate | Periodic of float
 
@@ -53,7 +147,13 @@ type t = {
   sim : Sim.t;
   detection : detection;
   table : (string, lock) Hashtbl.t;
-  owned : (owner, (string, unit) Hashtbl.t) Hashtbl.t;
+  (* One-entry cache of [table]: the engine names a resource once per access
+     and asks several questions about it, so the lookups after the first
+     compare one pointer. [last_lock] is [no_lock] when the entry is gone. *)
+  mutable last_resource : string;
+  mutable last_lock : lock;
+  (* Per owner: every resource it holds a mode on, with that entry. *)
+  owned : (owner, (string, lock) Hashtbl.t) Hashtbl.t;
   waiting : (owner, string) Hashtbl.t; (* owner -> resource it blocks on *)
   mutable requests : int;
   mutable waits : int;
@@ -71,6 +171,8 @@ let create ?(detection = Immediate) sim =
     sim;
     detection;
     table = Hashtbl.create 4096;
+    last_resource = no_lock.resource;
+    last_lock = no_lock;
     owned = Hashtbl.create 256;
     waiting = Hashtbl.create 64;
     requests = 0;
@@ -90,73 +192,104 @@ let set_on_touch t f = t.on_touch <- f
 let owned_resources t owner =
   match Hashtbl.find_opt t.owned owner with
   | None -> []
-  | Some set -> List.sort compare (Hashtbl.fold (fun r () acc -> r :: acc) set [])
+  | Some set -> List.sort compare (Hashtbl.fold (fun r _ acc -> r :: acc) set [])
+
+(* The entry for [resource], or [no_lock]. Allocates nothing. *)
+let find_lock t resource =
+  if resource == t.last_resource then t.last_lock
+  else
+    match Hashtbl.find t.table resource with
+    | l ->
+        t.last_resource <- resource;
+        t.last_lock <- l;
+        l
+    | exception Not_found -> no_lock
 
 let get_lock t resource =
-  match Hashtbl.find_opt t.table resource with
-  | Some l -> l
-  | None ->
-      let l = { resource; holds = Hashtbl.create 4; queue = [] } in
-      Hashtbl.replace t.table resource l;
-      l
+  let l = find_lock t resource in
+  if l != no_lock then l
+  else begin
+    let l =
+      { resource; buckets = Array.make 16 nil; n_holds = 0; x_owner = no_owner; queue = [] }
+    in
+    Hashtbl.replace t.table resource l;
+    t.last_resource <- resource;
+    t.last_lock <- l;
+    l
+  end
 
-let note_owned t owner resource =
+(* Drop an entry nobody holds or waits for. *)
+let drop_lock t l =
+  Hashtbl.remove t.table l.resource;
+  if t.last_lock == l then begin
+    t.last_resource <- no_lock.resource;
+    t.last_lock <- no_lock
+  end
+
+let note_owned t owner l =
   let set =
-    match Hashtbl.find_opt t.owned owner with
-    | Some s -> s
-    | None ->
+    match Hashtbl.find t.owned owner with
+    | s -> s
+    | exception Not_found ->
         let s = Hashtbl.create 16 in
         Hashtbl.replace t.owned owner s;
         s
   in
-  Hashtbl.replace set resource ()
+  Hashtbl.replace set l.resource l
 
 (* Modes currently held by [owner] on [resource]. *)
 let holds_of t ~owner resource =
-  match Hashtbl.find_opt t.table resource with
-  | None -> []
-  | Some l -> (
-      match Hashtbl.find_opt l.holds owner with
-      | None -> []
-      | Some c ->
-          List.filter (fun m -> count_of c m > 0) [ X; S; Siread ])
+  let h = find_hold (find_lock t resource) owner in
+  List.filter (fun m -> count_of h m > 0) [ X; S; Siread ]
+
+let holds t ~owner ~mode resource = count_of (find_hold (find_lock t resource) owner) mode > 0
 
 let holders t resource =
-  match Hashtbl.find_opt t.table resource with
-  | None -> []
-  | Some l ->
-      Hashtbl.fold
-        (fun owner c acc ->
-          List.fold_left
-            (fun acc m -> if count_of c m > 0 then (owner, m) :: acc else acc)
-            acc [ X; S; Siread ])
-        l.holds []
+  fold_holds
+    (fun h acc ->
+      let acc = if h.x > 0 then (h.owner, X) :: acc else acc in
+      let acc = if h.s > 0 then (h.owner, S) :: acc else acc in
+      if h.siread > 0 then (h.owner, Siread) :: acc else acc)
+    (find_lock t resource) []
 
-(* Would a request by [owner] for [mode] conflict with current holders? *)
-let conflicts_with_holders l ~owner ~mode =
-  Hashtbl.fold
-    (fun o c acc ->
-      acc
-      || (o <> owner
-         && List.exists (fun m -> count_of c m > 0 && blocks mode m) [ X; S; Siread ]))
-    l.holds false
+let x_owner t resource = (find_lock t resource).x_owner
+
+(* The reverse of the fold order, which is {!holders}' order: chains from
+   the last bucket down, each from its tail. *)
+let rec iter_siread_chain f h =
+  if h != nil then begin
+    iter_siread_chain f h.next;
+    if h.siread > 0 then f h.owner
+  end
+
+let iter_siread_holders t resource f =
+  let b = (find_lock t resource).buckets in
+  for i = Array.length b - 1 downto 0 do
+    iter_siread_chain f b.(i)
+  done
 
 let conflicts_with_queue l ~owner ~mode =
   List.exists
     (fun w -> (not (Sim.waker_fired w.waker)) && w.wowner <> owner && blocks mode w.wmode)
     l.queue
 
-let do_grant t l ~owner ~mode =
-  let c =
-    match Hashtbl.find_opt l.holds owner with
-    | Some c -> c
-    | None ->
-        let c = { s = 0; x = 0; siread = 0 } in
-        Hashtbl.replace l.holds owner c;
-        c
+(* Grant [mode] to [owner], whose hold on [l] is [h] ([nil] if it has
+   none yet). *)
+let grant t l h ~owner ~mode =
+  let h =
+    if h != nil then h
+    else begin
+      let h = add_hold l owner in
+      note_owned t owner l;
+      h
+    end
   in
-  add_count c mode 1;
-  note_owned t owner l.resource
+  match mode with
+  | S -> h.s <- h.s + 1
+  | X ->
+      h.x <- h.x + 1;
+      l.x_owner <- owner
+  | Siread -> h.siread <- h.siread + 1
 
 (* Blocked owners and who they wait for: edges from a waiter to every
    conflicting holder and every conflicting earlier waiter. *)
@@ -168,13 +301,11 @@ let waits_for_edges t =
       List.iter
         (fun w ->
           if not (Sim.waker_fired w.waker) then begin
-            Hashtbl.iter
-              (fun o c ->
-                if
-                  o <> w.wowner
-                  && List.exists (fun m -> count_of c m > 0 && blocks w.wmode m) [ X; S; Siread ]
-                then edges := (w.wowner, o) :: !edges)
-              l.holds;
+            fold_holds
+              (fun h () ->
+                if h.owner <> w.wowner && hold_blocks w.wmode h then
+                  edges := (w.wowner, h.owner) :: !edges)
+              l ();
             List.iter
               (fun w' ->
                 if w'.wowner <> w.wowner && blocks w.wmode w'.wmode then
@@ -313,7 +444,7 @@ let grant_waiters t l =
         if Sim.waker_fired w.waker then go rest
         else if conflicts_with_holders l ~owner:w.wowner ~mode:w.wmode then w :: rest
         else begin
-          do_grant t l ~owner:w.wowner ~mode:w.wmode;
+          grant t l (find_hold l w.wowner) ~owner:w.wowner ~mode:w.wmode;
           Hashtbl.remove t.waiting w.wowner;
           Sim.wake t.sim w.waker;
           go rest
@@ -328,30 +459,28 @@ let run_detector_pass t =
      break several cycles, which is fine — the next pass handles the rest. *)
   match List.rev (List.sort compare victims) with
   | [] -> 0
-  | v :: _ ->
-      (match Hashtbl.find_opt t.waiting v with
+  | v :: _ -> (
+      match Hashtbl.find_opt t.waiting v with
       | None -> 0
-      | Some resource -> (
-          match Hashtbl.find_opt t.table resource with
-          | None -> 0
-          | Some l ->
-              let found = ref 0 in
-              List.iter
-                (fun w ->
-                  if w.wowner = v && not (Sim.waker_fired w.waker) then begin
-                    t.deadlocks <- t.deadlocks + 1;
-                    incr found;
-                    (* Certificate before the victim is removed from
-                       [t.waiting], so its own blocked resource is cited. *)
-                    emit_deadlock_cert t ~victim:v edges;
-                    Hashtbl.remove t.waiting v;
-                    if Obs.tracing t.obs then
-                      Obs.emit t.obs ~ts:(Sim.now t.sim) (Obs.Deadlock { victim = v; resource });
-                    Sim.kill t.sim w.waker Deadlock_victim
-                  end)
-                l.queue;
-              grant_waiters t l;
-              !found))
+      | Some resource ->
+          let l = find_lock t resource in
+          let found = ref 0 in
+          List.iter
+            (fun w ->
+              if w.wowner = v && not (Sim.waker_fired w.waker) then begin
+                t.deadlocks <- t.deadlocks + 1;
+                incr found;
+                (* Certificate before the victim is removed from
+                   [t.waiting], so its own blocked resource is cited. *)
+                emit_deadlock_cert t ~victim:v edges;
+                Hashtbl.remove t.waiting v;
+                if Obs.tracing t.obs then
+                  Obs.emit t.obs ~ts:(Sim.now t.sim) (Obs.Deadlock { victim = v; resource });
+                Sim.kill t.sim w.waker Deadlock_victim
+              end)
+            l.queue;
+          if l != no_lock then grant_waiters t l;
+          !found)
 
 let start_detector t =
   match t.detection with
@@ -375,30 +504,21 @@ let acquire t ~owner ~mode resource =
   t.requests <- t.requests + 1;
   (match t.on_touch with Some f -> f owner (mode = X) resource | None -> ());
   let l = get_lock t resource in
-  let emit_granted () =
-    if Obs.tracing t.obs then
-      Obs.emit t.obs ~ts:(Sim.now t.sim)
-        (Obs.Lock_acquire { owner; mode = mode_to_string mode; resource })
-  in
+  let h = find_hold l owner in
   (* Re-entrant and conversion requests by an existing holder must not queue
      behind strangers (a holder waiting behind someone who waits for it
      would self-deadlock); they only wait for conflicting *holders*, and
      when they do wait, they wait at the front of the queue. *)
-  let already_holds =
-    match Hashtbl.find_opt l.holds owner with
-    | Some c -> c.s > 0 || c.x > 0 || c.siread > 0
-    | None -> false
-  in
-  if mode = Siread then begin
-    do_grant t l ~owner ~mode;
-    emit_granted ()
-  end
-  else if
-    (not (conflicts_with_holders l ~owner ~mode))
-    && (already_holds || not (conflicts_with_queue l ~owner ~mode))
+  let already_holds = h.s > 0 || h.x > 0 || h.siread > 0 in
+  if
+    mode = Siread
+    || (not (conflicts_with_holders l ~owner ~mode))
+       && (already_holds || not (conflicts_with_queue l ~owner ~mode))
   then begin
-    do_grant t l ~owner ~mode;
-    emit_granted ()
+    grant t l h ~owner ~mode;
+    if Obs.tracing t.obs then
+      Obs.emit t.obs ~ts:(Sim.now t.sim)
+        (Obs.Lock_acquire { owner; mode = mode_to_string mode; resource })
   end
   else begin
     t.waits <- t.waits + 1;
@@ -408,14 +528,10 @@ let acquire t ~owner ~mode resource =
            including our new wait. *)
         let hypothetical =
           let held_edges =
-            Hashtbl.fold
-              (fun o c acc ->
-                if
-                  o <> owner
-                  && List.exists (fun m -> count_of c m > 0 && blocks mode m) [ X; S; Siread ]
-                then (owner, o) :: acc
-                else acc)
-              l.holds []
+            fold_holds
+              (fun h acc ->
+                if h.owner <> owner && hold_blocks mode h then (owner, h.owner) :: acc else acc)
+              l []
           in
           (* A conversion (already_holds) goes to the queue front: it never
              waits behind queued strangers, so they add no edges. *)
@@ -438,19 +554,6 @@ let acquire t ~owner ~mode resource =
              only hypothetical (never entered into [t.waiting]), so the
              resource is supplied explicitly. *)
           emit_deadlock_cert t ~extra:(owner, resource) ~victim:owner hypothetical;
-          (if Sys.getenv_opt "LOCKMGR_DEBUG" <> None then begin
-             Printf.eprintf "DEADLOCK owner=%d mode=%s res=%s\n" owner (mode_to_string mode) resource;
-             List.iter (fun (a, b) -> Printf.eprintf "  edge %d -> %d\n" a b) hypothetical;
-             Hashtbl.iter (fun o r -> Printf.eprintf "  waiting: %d on %s\n" o r) t.waiting;
-             Hashtbl.iter
-               (fun o set ->
-                 Hashtbl.iter
-                   (fun r () ->
-                     Printf.eprintf "  owned: %d %s [%s]\n" o r
-                       (String.concat "," (List.map mode_to_string (holds_of t ~owner:o r))))
-                   set)
-               t.owned
-           end);
           t.deadlocks <- t.deadlocks + 1;
           if Obs.tracing t.obs then
             Obs.emit t.obs ~ts:(Sim.now t.sim) (Obs.Deadlock { victim = owner; resource });
@@ -490,52 +593,56 @@ let acquire t ~owner ~mode resource =
   end
 
 let release_one t ~owner ~mode resource =
-  match Hashtbl.find_opt t.table resource with
-  | None -> ()
-  | Some l -> (
-      match Hashtbl.find_opt l.holds owner with
-      | None -> ()
-      | Some c ->
-          if count_of c mode > 0 then begin
-            add_count c mode (-count_of c mode);
-            if c.s = 0 && c.x = 0 && c.siread = 0 then begin
-              Hashtbl.remove l.holds owner;
-              (match Hashtbl.find_opt t.owned owner with
-              | Some set -> Hashtbl.remove set resource
-              | None -> ())
-            end;
-            grant_waiters t l;
-            if Hashtbl.length l.holds = 0 && l.queue = [] then Hashtbl.remove t.table resource
-          end)
+  let l = find_lock t resource in
+  let h = find_hold l owner in
+  if count_of h mode > 0 then begin
+    (match mode with
+    | S -> h.s <- 0
+    | X ->
+        h.x <- 0;
+        l.x_owner <- no_owner
+    | Siread -> h.siread <- 0);
+    if h.s = 0 && h.x = 0 && h.siread = 0 then begin
+      remove_hold l h;
+      Hashtbl.remove (Hashtbl.find t.owned owner) resource
+    end;
+    grant_waiters t l;
+    if l.n_holds = 0 && l.queue = [] then drop_lock t l
+  end
 
 (* Release every lock [owner] holds, optionally keeping SIREAD entries (a
-   committing SSI transaction keeps them while suspended, §3.3). *)
+   committing SSI transaction keeps them while suspended, §3.3). A kept
+   SIREAD-only hold changes nothing (no waiter can be waiting for it), so
+   it is not visited. The remaining entries are released in the order of
+   the owner's index fold, reversed. *)
 let release_all ?(keep_siread = false) t owner =
   if Obs.tracing t.obs then
     Obs.emit t.obs ~ts:(Sim.now t.sim) (Obs.Lock_release_all { owner; kept_siread = keep_siread });
   match Hashtbl.find_opt t.owned owner with
   | None -> ()
   | Some set ->
-      let resources = Hashtbl.fold (fun r () acc -> r :: acc) set [] in
+      let locks =
+        Hashtbl.fold
+          (fun _ l acc ->
+            let h = find_hold l owner in
+            if h == nil || (keep_siread && h.s = 0 && h.x = 0) then acc else (l, h) :: acc)
+          set []
+      in
       List.iter
-        (fun resource ->
-          match Hashtbl.find_opt t.table resource with
-          | None -> Hashtbl.remove set resource
-          | Some l -> (
-              match Hashtbl.find_opt l.holds owner with
-              | None -> Hashtbl.remove set resource
-              | Some c ->
-                  c.s <- 0;
-                  c.x <- 0;
-                  if not keep_siread then c.siread <- 0;
-                  if c.siread = 0 then begin
-                    Hashtbl.remove l.holds owner;
-                    Hashtbl.remove set resource
-                  end;
-                  grant_waiters t l;
-                  if Hashtbl.length l.holds = 0 && l.queue = [] then
-                    Hashtbl.remove t.table resource))
-        resources;
+        (fun (l, h) ->
+          h.s <- 0;
+          if h.x > 0 then begin
+            h.x <- 0;
+            l.x_owner <- no_owner
+          end;
+          if not keep_siread then h.siread <- 0;
+          if h.siread = 0 then begin
+            remove_hold l h;
+            Hashtbl.remove set l.resource
+          end;
+          grant_waiters t l;
+          if l.n_holds = 0 && l.queue = [] then drop_lock t l)
+        locks;
       if Hashtbl.length set = 0 then Hashtbl.remove t.owned owner
 
 (* Move every SIREAD annotation of [owner] onto [to_owner], merging with any
@@ -551,41 +658,25 @@ let transfer_sireads t ~owner ~to_owner =
   match Hashtbl.find_opt t.owned owner with
   | None -> []
   | Some set ->
-      let resources = Hashtbl.fold (fun r () acc -> r :: acc) set [] in
+      let locks = Hashtbl.fold (fun _ l acc -> l :: acc) set [] in
       let moved =
         List.filter_map
-          (fun resource ->
-            match Hashtbl.find_opt t.table resource with
-            | None ->
-                Hashtbl.remove set resource;
-                None
-            | Some l -> (
-                match Hashtbl.find_opt l.holds owner with
-                | None ->
-                    Hashtbl.remove set resource;
-                    None
-                | Some c ->
-                    if c.siread = 0 then None
-                    else begin
-                      c.siread <- 0;
-                      if c.s = 0 && c.x = 0 then begin
-                        Hashtbl.remove l.holds owner;
-                        Hashtbl.remove set resource
-                      end;
-                      let merged =
-                        match Hashtbl.find_opt l.holds to_owner with
-                        | Some tc ->
-                            let had = tc.siread > 0 in
-                            if not had then tc.siread <- 1;
-                            had
-                        | None ->
-                            Hashtbl.replace l.holds to_owner { s = 0; x = 0; siread = 1 };
-                            false
-                      in
-                      note_owned t to_owner resource;
-                      Some (resource, merged)
-                    end))
-          resources
+          (fun l ->
+            let h = find_hold l owner in
+            if h.siread = 0 then None
+            else begin
+              h.siread <- 0;
+              if h.s = 0 && h.x = 0 then begin
+                remove_hold l h;
+                Hashtbl.remove set l.resource
+              end;
+              let th = find_hold l to_owner in
+              let merged = th.siread > 0 in
+              if th == nil then grant t l nil ~owner:to_owner ~mode:Siread
+              else if not merged then th.siread <- 1;
+              Some (l.resource, merged)
+            end)
+          locks
       in
       if Hashtbl.length set = 0 then Hashtbl.remove t.owned owner;
       moved
@@ -594,26 +685,23 @@ let transfer_sireads t ~owner ~to_owner =
 let cancel_wait t owner exn =
   match Hashtbl.find_opt t.waiting owner with
   | None -> false
-  | Some resource -> (
+  | Some resource ->
       Hashtbl.remove t.waiting owner;
-      match Hashtbl.find_opt t.table resource with
-      | None -> false
-      | Some l ->
-          let found = ref false in
-          List.iter
-            (fun w ->
-              if w.wowner = owner && not (Sim.waker_fired w.waker) then begin
-                found := true;
-                Sim.kill t.sim w.waker exn
-              end)
-            l.queue;
-          grant_waiters t l;
-          !found)
+      let l = find_lock t resource in
+      let found = ref false in
+      List.iter
+        (fun w ->
+          if w.wowner = owner && not (Sim.waker_fired w.waker) then begin
+            found := true;
+            Sim.kill t.sim w.waker exn
+          end)
+        l.queue;
+      if l != no_lock then grant_waiters t l;
+      !found
 
 let is_waiting t owner = Hashtbl.mem t.waiting owner
 
-let lock_table_size t =
-  Hashtbl.fold (fun _ l acc -> acc + Hashtbl.length l.holds) t.table 0
+let lock_table_size t = Hashtbl.fold (fun _ l acc -> acc + l.n_holds) t.table 0
 
 let requests t = t.requests
 

@@ -5,7 +5,11 @@
     strict-2PL lock manager with FIFO queues; SIREAD grants instantly, delays
     nobody, and exists only so a later X acquisition can observe that a
     concurrent SI transaction read the item. Conflict *flagging* is done by
-    the engine layer, which inspects {!holders} after each grant.
+    the engine layer, which asks two questions of a resource's entry after
+    a grant: a reader asks for its X owner ({!x_owner}, O(1), since X is
+    exclusive) and a writer walks its SIREAD owners
+    ({!iter_siread_holders}, building no list). Neither question allocates,
+    and asking several about the resource just acquired costs one lookup.
 
     Re-entrant: an owner may hold several modes on one resource; its own
     holds never block it (so an S→X upgrade waits only for other owners). *)
@@ -15,6 +19,9 @@ type mode = S | X | Siread
 val mode_to_string : mode -> string
 
 type owner = int
+
+(** Stands for "no owner" in {!x_owner}'s answer; never a real owner. *)
+val no_owner : owner
 
 (** Raised inside a blocked process chosen as deadlock victim, and by
     {!acquire} itself under [Immediate] detection when waiting would close a
@@ -57,13 +64,28 @@ val holders : t -> string -> (owner * mode) list
 (** Modes [owner] currently holds on [resource]. *)
 val holds_of : t -> owner:owner -> string -> mode list
 
+(** Whether [owner] holds [mode] on [resource]: [List.mem mode (holds_of ...)]
+    without the list. *)
+val holds : t -> owner:owner -> mode:mode -> string -> bool
+
+(** The owner holding X on [resource], or {!no_owner}. At most one owner
+    holds X, so this is the only [(owner, X)] pair of {!holders}. O(1). *)
+val x_owner : t -> string -> owner
+
+(** [iter_siread_holders t resource f] calls [f] on every owner holding a
+    SIREAD on [resource] (suspended committed owners included), in the
+    order of {!holders}, without building a list. [f] must not add or
+    remove holds on [resource]; holds on other resources are fine. *)
+val iter_siread_holders : t -> string -> (owner -> unit) -> unit
+
 (** Drop one mode (all its recursive acquisitions) of [owner] on [resource];
     wakes newly compatible waiters. *)
 val release_one : t -> owner:owner -> mode:mode -> string -> unit
 
 (** Release everything [owner] holds. With [~keep_siread:true], SIREAD
     entries survive — a committing SSI transaction keeps them while
-    suspended (§3.3). *)
+    suspended (§3.3) — and SIREAD-only holds cost no work beyond the walk
+    of the owner's index. *)
 val release_all : ?keep_siread:bool -> t -> owner -> unit
 
 (** If [owner] is blocked in {!acquire}, raise [exn] inside it and return

@@ -511,6 +511,44 @@ let test_blocked_writer_aborts_on_wake () =
   check_outcome "holder commits" Committed r1;
   check_outcome "blocked writer aborts on wake" (Aborted Types.Update_conflict) r2
 
+(* {1 Allocation}
+
+   An SSI scan asks each row and gap for its X owner and takes its own
+   SIREAD; neither may cost more when more committed readers' SIREADs are
+   retained on the same rows (ROADMAP item 2: per-operation cost
+   independent of concurrency). Counted with [Gc.minor_words], which is
+   exact for the calling domain. *)
+
+(* Minor words one SSI scan of 100 rows allocates while [k] committed
+   readers of the same rows are suspended with their SIREADs. *)
+let scan_words ~k =
+  let rows = List.init 100 (fun i -> (Printf.sprintf "k%03d" i, "v")) in
+  let env = make_env ~tables:[ "t" ] ~rows:[ ("t", rows) ] () in
+  let words = ref nan in
+  Sim.spawn env.sim (fun () ->
+      (* The pin's read view precedes every reader's commit, so each reader
+         is retained when it commits. *)
+      let pin = Db.begin_txn env.db ssi in
+      ignore (Txn.read pin "t" "k000");
+      for _ = 1 to k do
+        ignore (atomically env ssi (fun t -> ignore (Txn.scan t "t")))
+      done;
+      Alcotest.(check int) "readers retained" k (Db.suspended_count env.db);
+      let t = Db.begin_txn env.db ssi in
+      let before = Gc.minor_words () in
+      let seen = Txn.scan t "t" in
+      words := Gc.minor_words () -. before;
+      Alcotest.(check int) "rows scanned" 100 (List.length seen);
+      Txn.commit t;
+      Txn.commit pin);
+  Sim.run ~until:1.0e6 env.sim;
+  !words
+
+let test_scan_words_independent_of_retained_readers () =
+  let w5 = scan_words ~k:5 and w40 = scan_words ~k:40 in
+  if Float.abs (w40 -. w5) > 0.05 *. w5 then
+    Alcotest.failf "scan allocates %.0f words with 5 retained readers, %.0f with 40" w5 w40
+
 let suite =
   [
     ("read own writes", `Quick, test_read_own_writes);
@@ -544,6 +582,9 @@ let suite =
     ("user abort rolls back", `Quick, test_user_abort_rolls_back);
     ("run_retry", `Quick, test_run_retry);
     ("blocked writer aborts on wake", `Quick, test_blocked_writer_aborts_on_wake);
+    ( "scan allocation independent of retained readers",
+      `Quick,
+      test_scan_words_independent_of_retained_readers );
   ]
 
 let () = Alcotest.run "engine" [ ("engine", suite) ]

@@ -1,6 +1,7 @@
 (* Tests for the lock manager: conflict matrix, FIFO queuing, SIREAD
    non-blocking behaviour, upgrades, deadlock detection (immediate and
-   periodic), wait cancellation. *)
+   periodic), wait cancellation, and a model-based check of the
+   X-owner/holds/SIREAD-holder queries. *)
 
 let with_sim f =
   let sim = Sim.create () in
@@ -315,6 +316,235 @@ let test_siread_retained_vs_new_x () =
             [ (1, "SIREAD"); (2, "X") ]
             (List.map (fun (o, m) -> (o, Lockmgr.mode_to_string m)) holders)))
 
+let test_dropped_entry_not_reused () =
+  (* The last entry found is cached; once released away it must not serve
+     the next request on the same string. *)
+  let lm = Lockmgr.create (Sim.create ()) in
+  let r = "a" in
+  Lockmgr.acquire lm ~owner:1 ~mode:Lockmgr.X r;
+  Lockmgr.release_all lm 1;
+  Lockmgr.acquire lm ~owner:2 ~mode:Lockmgr.S r;
+  Alcotest.(check int) "table size" 1 (Lockmgr.lock_table_size lm);
+  Alcotest.(check int) "no X owner" Lockmgr.no_owner (Lockmgr.x_owner lm r);
+  Alcotest.(check bool) "S held" true (Lockmgr.holds lm ~owner:2 ~mode:Lockmgr.S "a")
+
+(* {1 Model-based check of the non-allocating queries}
+
+   Random sequences of non-blocking lock operations run against the lock
+   manager and against a model that keeps each resource's holds in a stdlib
+   [Hashtbl] (created with size 4, an entry added with [replace] when an
+   owner gains its first mode, removed when it holds none, the resource
+   forgotten when nobody holds it). After every step, [holders] must list
+   the model's holds in the model's fold order, and [x_owner], [holds] and
+   [iter_siread_holders] (contents and order) must agree with
+   [holders]/[holds_of], without changing [lock_table_size]. *)
+
+type op =
+  | Acquire of int * Lockmgr.mode * string
+  | Release_one of int * Lockmgr.mode * string
+  | Release_all of int * bool
+  | Transfer of int * int
+
+let resources = [ "a"; "b"; "c"; "d" ]
+
+(* Enough owners to grow the holder table of "a" past 32 holds. *)
+let n_owners = 72
+
+let show_op = function
+  | Acquire (o, m, r) -> Printf.sprintf "acquire %d %s %s" o (Lockmgr.mode_to_string m) r
+  | Release_one (o, m, r) -> Printf.sprintf "release_one %d %s %s" o (Lockmgr.mode_to_string m) r
+  | Release_all (o, keep) ->
+      Printf.sprintf "release_all%s %d" (if keep then " ~keep_siread" else "") o
+  | Transfer (o, o') -> Printf.sprintf "transfer_sireads %d -> %d" o o'
+
+let arb_ops =
+  let open QCheck.Gen in
+  let owner = int_range 0 (n_owners - 1) in
+  let mode =
+    frequency [ (2, return Lockmgr.S); (1, return Lockmgr.X); (4, return Lockmgr.Siread) ]
+  in
+  (* A fresh copy now and then: lookups by an equal but distinct string. *)
+  let resource =
+    map2
+      (fun r copy -> if copy then String.init (String.length r) (String.get r) else r)
+      (frequencyl [ (8, "a"); (2, "b"); (1, "c"); (1, "d") ])
+      (frequency [ (3, return false); (1, return true) ])
+  in
+  let op =
+    frequency
+      [
+        (16, map3 (fun o m r -> Acquire (o, m, r)) owner mode resource);
+        (2, map3 (fun o m r -> Release_one (o, m, r)) owner mode resource);
+        (1, map2 (fun o keep -> Release_all (o, keep)) owner bool);
+        (1, map2 (fun o o' -> Transfer (o, if o' = o then -1 else o')) owner owner);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "\n" (List.map show_op ops))
+    (list_size (int_range 1 400) op)
+
+type counts = { mutable s : int; mutable x : int; mutable siread : int }
+
+let model_count c = function Lockmgr.S -> c.s | Lockmgr.X -> c.x | Lockmgr.Siread -> c.siread
+
+let model_set c m n =
+  match m with Lockmgr.S -> c.s <- n | Lockmgr.X -> c.x <- n | Lockmgr.Siread -> c.siread <- n
+
+let model_holders model r =
+  match Hashtbl.find_opt model r with
+  | None -> []
+  | Some holds ->
+      Hashtbl.fold
+        (fun o c acc ->
+          List.fold_left
+            (fun acc m -> if model_count c m > 0 then (o, m) :: acc else acc)
+            acc Lockmgr.[ X; S; Siread ])
+        holds []
+
+(* Apply [op] to the model; the lock manager's answer for transfers is
+   checked here too. *)
+let model_step lm model op =
+  let holds_of r = match Hashtbl.find_opt model r with Some h -> h | None -> Hashtbl.create 4 in
+  let forget_if_empty r h = if Hashtbl.length h = 0 then Hashtbl.remove model r in
+  match op with
+  | Acquire (o, m, r) ->
+      let h = holds_of r in
+      Hashtbl.replace model r h;
+      let c =
+        match Hashtbl.find_opt h o with
+        | Some c -> c
+        | None ->
+            let c = { s = 0; x = 0; siread = 0 } in
+            Hashtbl.replace h o c;
+            c
+      in
+      model_set c m (model_count c m + 1);
+      Lockmgr.acquire lm ~owner:o ~mode:m r
+  | Release_one (o, m, r) ->
+      (match Hashtbl.find_opt model r with
+      | Some h -> (
+          match Hashtbl.find_opt h o with
+          | Some c when model_count c m > 0 ->
+              model_set c m 0;
+              if c.s = 0 && c.x = 0 && c.siread = 0 then Hashtbl.remove h o;
+              forget_if_empty r h
+          | _ -> ())
+      | None -> ());
+      Lockmgr.release_one lm ~owner:o ~mode:m r
+  | Release_all (o, keep_siread) ->
+      List.iter
+        (fun r ->
+          match Hashtbl.find_opt model r with
+          | Some h -> (
+              match Hashtbl.find_opt h o with
+              | Some c ->
+                  c.s <- 0;
+                  c.x <- 0;
+                  if not keep_siread then c.siread <- 0;
+                  if c.siread = 0 then Hashtbl.remove h o;
+                  forget_if_empty r h
+              | None -> ())
+          | None -> ())
+        resources;
+      Lockmgr.release_all ~keep_siread lm o
+  | Transfer (o, o') ->
+      let expected =
+        List.filter_map
+          (fun r ->
+            match Hashtbl.find_opt model r with
+            | Some h -> (
+                match Hashtbl.find_opt h o with
+                | Some c when c.siread > 0 ->
+                    c.siread <- 0;
+                    if c.s = 0 && c.x = 0 then Hashtbl.remove h o;
+                    let merged =
+                      match Hashtbl.find_opt h o' with
+                      | Some c' ->
+                          let had = c'.siread > 0 in
+                          if not had then c'.siread <- 1;
+                          had
+                      | None ->
+                          Hashtbl.replace h o' { s = 0; x = 0; siread = 1 };
+                          false
+                    in
+                    Some (r, merged)
+                | _ -> None)
+            | None -> None)
+          resources
+      in
+      let moved = List.sort compare (Lockmgr.transfer_sireads lm ~owner:o ~to_owner:o') in
+      if moved <> expected then QCheck.Test.fail_reportf "%s: moved entries differ" (show_op op)
+
+(* An S or X request that would wait is left out: the sequence stays in
+   one process and nothing ever queues. *)
+let would_block lm = function
+  | Acquire (o, m, r) ->
+      List.exists (fun (o', m') -> o' <> o && Lockmgr.blocks m m') (Lockmgr.holders lm r)
+  | Release_one _ | Release_all _ | Transfer _ -> false
+
+(* Resources are visited in an order that rotates with [step], so the last
+   entry looked up (which the lock manager caches) varies. Every owner's
+   [holds] is checked every eighth step; otherwise only the holders' and
+   the operation's. *)
+let check_queries lm model ~step op =
+  let fail fmt = QCheck.Test.fail_reportf ("after %s: " ^^ fmt) (show_op op) in
+  let size = Lockmgr.lock_table_size lm in
+  let expected_size =
+    Hashtbl.fold (fun _ h acc -> acc + Hashtbl.length h) model 0
+  in
+  if size <> expected_size then fail "lock_table_size %d, model %d" size expected_size;
+  List.iter
+    (fun r ->
+      let holders = Lockmgr.holders lm r in
+      if holders <> model_holders model r then fail "holders of %s differ from the model" r;
+      let x =
+        match List.filter (fun (_, m) -> m = Lockmgr.X) holders with
+        | [] -> Lockmgr.no_owner
+        | [ (o, _) ] -> o
+        | _ -> fail "two X holders on %s" r
+      in
+      if Lockmgr.x_owner lm r <> x then fail "x_owner %s" r;
+      let sireads =
+        List.filter_map (fun (o, m) -> if m = Lockmgr.Siread then Some o else None) holders
+      in
+      let seen = ref [] in
+      Lockmgr.iter_siread_holders lm r (fun o -> seen := o :: !seen);
+      if List.rev !seen <> sireads then fail "iter_siread_holders %s" r;
+      let owners =
+        if step mod 8 = 0 then List.init (n_owners + 1) (fun o -> o - 1)
+        else
+          match op with
+          | Acquire (o, _, _) | Release_one (o, _, _) | Release_all (o, _) | Transfer (o, _) ->
+              o :: List.map fst holders
+      in
+      List.iter
+        (fun o ->
+          let modes = Lockmgr.holds_of lm ~owner:o r in
+          List.iter
+            (fun m ->
+              if Lockmgr.holds lm ~owner:o ~mode:m r <> List.mem m modes then
+                fail "holds %d %s %s" o (Lockmgr.mode_to_string m) r)
+            Lockmgr.[ S; X; Siread ])
+        owners)
+    (let all = "absent" :: resources in
+     let k = step mod List.length all in
+     List.filteri (fun i _ -> i >= k) all @ List.filteri (fun i _ -> i < k) all);
+  if Lockmgr.lock_table_size lm <> size then fail "queries changed lock_table_size"
+
+let prop_queries_match_holders =
+  QCheck.Test.make ~name:"x_owner/holds/iter_siread_holders agree with holders" ~count:100
+    arb_ops (fun ops ->
+      let lm = Lockmgr.create (Sim.create ()) in
+      let model = Hashtbl.create 8 in
+      List.iteri
+        (fun step op ->
+          if not (would_block lm op) then begin
+            model_step lm model op;
+            check_queries lm model ~step op
+          end)
+        ops;
+      true)
+
 let suite =
   [
     ("conflict matrix", `Quick, test_conflict_matrix);
@@ -334,6 +564,8 @@ let suite =
     ("reentrant bypasses queue", `Quick, test_reentrant_bypasses_queue);
     ("conversion at queue front", `Quick, test_conversion_goes_to_queue_front);
     ("retained SIREAD visible to X", `Quick, test_siread_retained_vs_new_x);
+    ("dropped entry not reused", `Quick, test_dropped_entry_not_reused);
+    QCheck_alcotest.to_alcotest prop_queries_match_holders;
   ]
 
 let () = Alcotest.run "lockmgr" [ ("lockmgr", suite) ]
