@@ -7,8 +7,8 @@
    - [attribute]    per-resource contention profile + flight recorder
    - [report]       one Markdown report: figures, profiled run, certificates
    - [sdg NAME]     static dependency graph analysis (§2.6/§2.8)
-   - [interleave]   exhaustive interleaving sweeps (§4.7)
-   - [explore]      DPOR schedule exploration (same coverage, far fewer runs)
+   - [explore]      DPOR schedule exploration; --validate adds the full
+                    interleaving sweep (§4.7)
    - [fuzz]         differential history fuzzing with the MVSG oracle
    - [recover]      one crash+recover+verify roundtrip
    - [perf]         hot-path microbenchmarks (BENCH_ssi.json)
@@ -16,7 +16,7 @@
    Examples:
      ssi_bench run fig6.1 fig6.8 --seeds 3 --duration 1.0
      ssi_bench sdg smallbank
-     ssi_bench interleave --spec write-skew --isolation si
+     ssi_bench explore --spec write-skew --isolation si --validate
      ssi_bench explore --spec write-skew-4 --isolation ssi --stats -j 4
      ssi_bench fuzz --cases 10000 --seed 1 --matrix full --shrink-anomalies
      ssi_bench fuzz --replay fuzz-001.repro *)
@@ -27,8 +27,8 @@ let list_cmd =
   let run () =
     print_endline "Available experiments (see DESIGN.md for the per-figure index):";
     List.iter
-      (fun (id, title) -> Printf.printf "  %-18s %s\n" id title)
-      Experiments.titles
+      (fun p -> Printf.printf "  %-18s %s\n" p.Experiments.pl_id p.Experiments.pl_title)
+      Experiments.all_figures
   in
   Cmd.v (Cmd.info "list" ~doc:"List available experiments") Term.(const run $ const ())
 
@@ -44,7 +44,7 @@ let ids_arg =
    -j N runs to enforce it. *)
 let jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt Scenario.pos_int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:"Run independent jobs on $(docv) domains (output is identical for any $(docv))")
 
@@ -79,25 +79,31 @@ let metrics_arg =
 let run_cmd =
   let run ids budget with_metrics jobs =
     let budget = { budget with Experiments.with_metrics } in
-    let ids = if ids = [] then List.map fst Experiments.all_figures else ids in
+    let ids =
+      if ids = [] then List.map (fun p -> p.Experiments.pl_id) Experiments.all_figures else ids
+    in
     with_jobs jobs (fun pool -> Experiments.run_many ?pool ~budget Fmt.stdout ids)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run experiments and print throughput/abort tables")
     Term.(const run $ ids_arg $ Scenario.budget $ metrics_arg $ jobs_arg)
 
+(* [Scenario.term] plus a --trace FILE flag: a trace captures one run, so
+   --trace with --seeds N > 1 is a usage error. *)
+let traced_scenario ?extra ~workload ~doc () =
+  let trace = Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc) in
+  let check (sc : Scenario.t) trace =
+    if trace <> None && sc.nseeds > 1 then
+      `Error (false, "--trace requires --seeds 1 (a trace captures one run)")
+    else `Ok (sc, trace)
+  in
+  Term.(ret (const check $ Scenario.term ?extra ~workload () $ trace))
+
 (* One measured benchmark run, with optional Chrome-trace capture. The
    stdout report is byte-identical with or without --trace: tracing records
    events out-of-band and never perturbs the simulation. *)
 let bench_cmd =
-  let trace_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Write a Chrome-trace JSON array (chrome://tracing, ui.perfetto.dev) to $(docv)")
-  in
-  let run (sc : Scenario.t) trace metrics jobs =
+  let run ((sc : Scenario.t), trace) metrics jobs =
     let make_db, mix = Scenario.workload sc in
     let cfg = Scenario.driver_config sc in
     let iso = Scenario.isolation_name sc.isolation in
@@ -115,12 +121,7 @@ let bench_cmd =
         sc.memory_budget
     in
     if sc.nseeds > 1 then begin
-      (* Aggregate mode: several independent seeds, optionally in parallel.
-         Per-run traces would interleave, so --trace is single-run only. *)
-      if trace <> None then begin
-        prerr_endline "--trace requires --seeds 1 (a trace captures one run)";
-        exit 1
-      end;
+      (* Aggregate mode: several independent seeds, optionally in parallel. *)
       let s =
         with_jobs jobs (fun pool ->
             Driver.run_seeds ?pool
@@ -183,7 +184,10 @@ let bench_cmd =
     (Cmd.info "bench"
        ~doc:"One measured benchmark run; optionally capture a Chrome trace and engine metrics")
     Term.(
-      const run $ Scenario.term ~workload:"smallbank" () $ trace_arg $ metrics_arg $ jobs_arg)
+      const run
+      $ traced_scenario ~workload:"smallbank"
+          ~doc:"Write a Chrome-trace JSON array (chrome://tracing, ui.perfetto.dev) to $(docv)" ()
+      $ metrics_arg $ jobs_arg)
 
 (* Windowed sim-time telemetry: run a workload under a tracing sink, build
    a Timeline (lib/obs/timeline.ml) per seed, merge, and export. Stdout is
@@ -231,40 +235,26 @@ let timeline_cmd =
       & info [ "annotate" ] ~docv:"SERIES"
           ~doc:"Detect regime shifts (Page-Hinkley) on $(docv) and print the marks")
   in
-  let trace_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Write one Chrome-trace file combining lifecycle spans, resource counters and the \
-             timeline series as counter tracks (requires --seeds 1)")
-  in
   let retention =
     ( "retention",
       "bounded-memory loop with a pinned snapshot released at 60% of the horizon; ignores \
        --isolation" )
   in
-  let run (sc : Scenario.t) window columns csv ndjson slo annotate trace jobs =
-    if trace <> None && sc.nseeds > 1 then begin
-      prerr_endline "--trace requires --seeds 1 (a trace captures one run)";
-      exit 1
-    end;
+  let run ((sc : Scenario.t), trace) window columns csv ndjson slo annotate jobs =
     let horizon = sc.warmup +. sc.duration in
     let run_seed s : Timeline.t * Obs.t =
-      if sc.workload = "retention" then begin
-        let obs, hz =
-          Experiments.retention_timeline_run ?memory_budget:sc.memory_budget ~mpl:sc.mpl
-            ~warmup:sc.warmup ~duration:sc.duration ~seed:s ()
-        in
-        (Option.get (Timeline.of_obs ~window ~horizon:hz obs), obs)
-      end
-      else begin
-        let make_db, mix = Scenario.workload sc in
-        let obs = Obs.create ~trace:true ~provenance:true ~metrics:true () in
-        ignore (Driver.run_once ~obs ~make_db ~mix (Scenario.driver_config ~seed:s sc));
-        (Option.get (Timeline.of_obs ~window ~horizon obs), obs)
-      end
+      let obs = Obs.create ~trace:true ~provenance:true ~metrics:true () in
+      (if sc.workload = "retention" then
+         (* The pin releases at 60% of the window, so the retention gauges
+            ramp while it holds and fall once it is gone. *)
+         ignore
+           (Experiments.retention_run ~obs ?memory_budget:sc.memory_budget
+              ~pin_release:(sc.warmup +. (0.6 *. sc.duration))
+              ~mpl:sc.mpl ~warmup:sc.warmup ~duration:sc.duration s)
+       else
+         let make_db, mix = Scenario.workload sc in
+         ignore (Driver.run_once ~obs ~make_db ~mix (Scenario.driver_config ~seed:s sc)));
+      (Option.get (Timeline.of_obs ~window ~horizon obs), obs)
     in
     let per_seed = with_jobs jobs (fun pool -> Par.map ?pool run_seed (Scenario.seeds sc)) in
     let tl = Timeline.merge (List.map fst per_seed) in
@@ -333,9 +323,12 @@ let timeline_cmd =
           retention gauges, wasted work, per-class SLOs and regime-shift marks")
     Term.(
       const run
-      $ Scenario.term ~extra:[ retention ] ~workload:"sibench" ()
-      $ window_arg $ series_arg $ csv_arg $ ndjson_arg $ slo_arg $ annotate_arg $ trace_arg
-      $ jobs_arg)
+      $ traced_scenario ~extra:[ retention ] ~workload:"sibench"
+          ~doc:
+            "Write one Chrome-trace file combining lifecycle spans, resource counters and the \
+             timeline series as counter tracks (requires --seeds 1)"
+          ()
+      $ window_arg $ series_arg $ csv_arg $ ndjson_arg $ slo_arg $ annotate_arg $ jobs_arg)
 
 let attribute_cmd =
   let window_arg =
@@ -504,7 +497,6 @@ let sdg_cmd =
     (Cmd.info "sdg" ~doc:"Analyse a static dependency graph for dangerous structures")
     Term.(const run $ name_arg)
 
-(* Shared by [interleave] and [explore]. *)
 let specs =
   Interleave.
     [
@@ -530,27 +522,8 @@ let isolation_arg default =
     & opt Scenario.isolation_conv default
     & info [ "isolation" ] ~doc:"si | ssi | s2pl | rc")
 
-let interleave_cmd =
-  let run spec isolation =
-    let spec_txns = List.assoc spec specs in
-    let iso = Scenario.isolation_name isolation in
-    let s = Interleave.sweep ~isolation spec_txns in
-    Printf.printf
-      "spec=%s isolation=%s: %d interleavings\n\
-      \  all-committed:    %d\n\
-      \  non-serializable: %d\n\
-      \  unsafe aborts:    %d\n\
-      \  other aborts:     %d\n"
-      spec iso s.Interleave.total s.Interleave.all_committed s.Interleave.non_serializable
-      s.Interleave.unsafe_aborts s.Interleave.other_aborts
-  in
-  Cmd.v
-    (Cmd.info "interleave"
-       ~doc:"Exhaustively execute all interleavings of a transaction set (§4.7)")
-    Term.(const run $ spec_arg $ isolation_arg Core.Types.Snapshot)
-
-(* [explore]: the DPOR schedule explorer — same outcome coverage as a full
-   [interleave] sweep at a fraction of the executions. Output is sorted and
+(* [explore]: the DPOR schedule explorer — same outcome coverage as the full
+   interleaving sweep of --validate at a fraction of the executions. Output is sorted and
    deterministic, byte-identical at any -j (bin/dune diffs -j1 vs -j4). *)
 let explore_cmd =
   let matrix_arg =
@@ -573,8 +546,8 @@ let explore_cmd =
       value & flag
       & info [ "validate" ]
           ~doc:
-            "Also run the full enumeration and fail unless its outcome-digest set matches \
-             (multinomial cost: small specs only)")
+            "Also run every interleaving (§4.7), print its outcome counts and fail unless its \
+             outcome-digest set matches (multinomial cost: small specs only)")
   in
   let run spec isolation matrix stats validate jobs =
     let spec_txns = List.assoc spec specs in
@@ -608,7 +581,16 @@ let explore_cmd =
             end;
             List.iter (fun d -> Printf.printf "  outcome %s\n" d) digests;
             if validate then begin
-              let full = Explore.sweep_digests ?config ~isolation spec_txns in
+              let s = Explore.sweep ?config ~isolation spec_txns in
+              Printf.printf
+                "  sweep: %d interleavings\n\
+                \    all-committed:    %d\n\
+                \    non-serializable: %d\n\
+                \    unsafe aborts:    %d\n\
+                \    other aborts:     %d\n"
+                s.Explore.total s.Explore.all_committed s.Explore.non_serializable
+                s.Explore.unsafe_aborts s.Explore.other_aborts;
+              let full = s.Explore.digests in
               if full = digests then
                 Printf.printf "  validate: OK (full enumeration agrees, %d outcomes)\n"
                   (List.length full)
@@ -633,7 +615,7 @@ let explore_cmd =
 
 let fuzz_cmd =
   let cases_arg =
-    Arg.(value & opt int 1000 & info [ "cases" ] ~doc:"Number of generated cases")
+    Arg.(value & opt Scenario.pos_int 1000 & info [ "cases" ] ~doc:"Number of generated cases")
   in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Campaign seed") in
   let matrix_arg =
@@ -924,7 +906,7 @@ let report_cmd =
   in
   let fcases_arg =
     Arg.(
-      value & opt int 200
+      value & opt Scenario.nonneg_int 200
       & info [ "fuzz-cases" ] ~doc:"Cases in the provenance-harvest fuzz campaign")
   in
   let fseed_arg =
@@ -938,12 +920,13 @@ let report_cmd =
   in
   let topk_arg =
     Arg.(
-      value & opt int 5
+      value & opt Scenario.nonneg_int 5
       & info [ "topk" ] ~doc:"Distinct certificate shapes detailed in the provenance section")
   in
   let bins_arg =
     Arg.(
-      value & opt int 64 & info [ "bins" ] ~doc:"Width of the utilisation sparklines, in bins")
+      value & opt Scenario.pos_int 64
+      & info [ "bins" ] ~doc:"Width of the utilisation sparklines, in bins")
   in
   let out_arg =
     Arg.(
@@ -998,8 +981,8 @@ let report_cmd =
     | None ->
         let make_db, mix = Scenario.workload sc in
         let biso = Scenario.isolation_name sc.isolation in
-        let plans = List.map (fun id -> List.assoc id Experiments.all_figures budget) figures in
-        let figs = with_jobs jobs (fun pool -> Experiments.eval_plans ?pool plans) in
+        let plans = List.map (fun id -> Option.get (Experiments.find_figure id)) figures in
+        let figs = with_jobs jobs (fun pool -> Experiments.eval_plans ?pool ~budget plans) in
         (* Profiled run: trace on (lifecycle spans + resource samples),
            metrics on, plus the contention sketch and certificates feeding
            the report's hot-resources and incidents sections. Tracing is
@@ -1103,7 +1086,6 @@ let () =
             attribute_cmd;
             report_cmd;
             sdg_cmd;
-            interleave_cmd;
             explore_cmd;
             fuzz_cmd;
             recover_cmd;

@@ -355,9 +355,16 @@ let mark_path_stamps t table_name (access : Btree.access) snap =
     (access.Btree.path @ access.Btree.leaves)
 
 let visible_value (v : Mvstore.version option) =
-  match v with Some { value = Some s; _ } -> Some s | _ -> None
+  match v with Some { value; _ } -> value | None -> None
 
 let version_ts (v : Mvstore.version option) = match v with Some v -> v.commit_ts | None -> 0
+
+(* The committed version of [chain] that [t] reads: the latest one under
+   RC/S2PL, the one its snapshot sees under SI/SSI. *)
+let read_version t chain =
+  match t.isolation with
+  | Read_committed | S2pl -> Mvstore.latest chain
+  | Snapshot | Serializable -> Mvstore.visible chain ~snapshot:(snapshot_exn t)
 
 let do_read t table_name key =
   guard t (fun () ->
@@ -560,14 +567,9 @@ let do_read_for_update t table_name key =
           let r = row_resource table_name key in
           let chain = lock_for_write t table_name key r ~will_write:false in
           if is_ssi t then siread_after_x t table_name key r;
-          let v =
-            match t.isolation with
-            | Read_committed | S2pl -> Mvstore.latest chain
-            | Snapshot | Serializable ->
-                (* The FCW check in lock_for_write guarantees the snapshot
-                   version is also the latest committed one. *)
-                Mvstore.visible chain ~snapshot:(snapshot_exn t)
-          in
+          (* Under SI/SSI the FCW check in lock_for_write guarantees the
+             snapshot version is also the latest committed one. *)
+          let v = read_version t chain in
           log_read t table_name key (version_ts v);
           visible_value v)
 
@@ -664,13 +666,9 @@ let do_delete t table_name key =
         | Some (Some _) -> true
         | Some None -> false
         | None ->
-            let v =
-              match t.isolation with
-              | Read_committed | S2pl -> Mvstore.latest chain
-              | Snapshot | Serializable -> Mvstore.visible chain ~snapshot:(snapshot_exn t)
-            in
+            let v = read_version t chain in
             log_read t table_name key (version_ts v);
-            (match v with Some { value = Some _; _ } -> true | _ -> false)
+            Option.is_some (visible_value v)
       in
       if existed then buffer_write t table_name key None
       else if is_ssi t then siread_after_x t table_name key r;
@@ -699,14 +697,7 @@ let do_scan ?lo ?hi ?limit t table_name =
         match own_write t table_name key with
         | Some (Some _) -> true
         | Some None -> false
-        | None -> (
-            match t.isolation with
-            | Read_committed | S2pl -> (
-                match Mvstore.latest chain with Some { value = Some _; _ } -> true | _ -> false)
-            | Snapshot | Serializable -> (
-                match Mvstore.visible chain ~snapshot:snap with
-                | Some { value = Some _; _ } -> true
-                | _ -> false))
+        | None -> Option.is_some (visible_value (read_version t chain))
       in
       let access =
         Mvstore.scan_chains table ?lo ?hi (fun k c ->
@@ -799,22 +790,11 @@ let do_scan ?lo ?hi ?limit t table_name =
               end;
               mark_newer_versions t r chain snap
           | _ -> ());
+          let version = read_version t chain in
+          if config.Config.record_history then log_read t table_name key (version_ts version);
           let v =
-            match own_write t table_name key with
-            | Some v -> v
-            | None -> (
-                match t.isolation with
-                | Read_committed | S2pl -> visible_value (Mvstore.latest chain)
-                | Snapshot | Serializable ->
-                    visible_value (Mvstore.visible chain ~snapshot:snap))
+            match own_write t table_name key with Some v -> v | None -> visible_value version
           in
-          (if config.Config.record_history then
-             let ver =
-               match t.isolation with
-               | Read_committed | S2pl -> version_ts (Mvstore.latest chain)
-               | Snapshot | Serializable -> version_ts (Mvstore.visible chain ~snapshot:snap)
-             in
-             log_read t table_name key ver);
           match v with Some v -> results := (key, v) :: !results | None -> ())
         visited;
       (* Terminal gap: protects inserts beyond the last visited key

@@ -43,14 +43,70 @@ type figure = {
   series : series list;
 }
 
+(* {1 Workloads as data}
+
+   The evaluation uses three workloads: SmallBank on the Berkeley DB
+   profile, and sibench and TPC-C++ on the InnoDB profile. Every figure and
+   ablation below is one of them with one setting changed: its own
+   benchmark parameters (constructor arguments) or one engine switch (a
+   record edit of [config]). [make_db] is the only place a figure's
+   database is created. *)
+
+type workload = {
+  config : Config.t;
+  setup : Db.t -> unit;  (** loads the initial rows *)
+  mix : Driver.program list;
+}
+
+(* A fresh database for [w] on [sim]; [obs] is attached before loading. *)
+let make_db ?obs w sim =
+  let db = Db.create ~config:w.config sim in
+  Option.iter (Db.set_obs db) obs;
+  w.setup db;
+  db
+
+let with_config f w = { w with config = f w.config }
+
+(* SmallBank (§5.1) on the Berkeley DB profile. *)
+let smallbank ?(customers = 20_000) ?ops_per_txn ?fix () =
+  {
+    config = Config.bdb ();
+    setup = (fun db -> Smallbank.setup db ~customers ());
+    mix = Smallbank.mix ?fix ~customers ?ops_per_txn ();
+  }
+
+(* sibench (§5.2) on the InnoDB profile. *)
+let sibench ~items ?queries_per_update () =
+  {
+    config = Config.innodb ();
+    setup = (fun db -> Sibench.setup db ~items ());
+    mix = Sibench.mix ~items ?queries_per_update ();
+  }
+
+(* TPC-C++ (§5.3) on the InnoDB profile; [stock_level] selects the Stock
+   Level mix. *)
+let tpcc ?skip_ytd ?(stock_level = false) scale =
+  {
+    config = Config.innodb ();
+    setup = (fun db -> Tpcc.setup db ~scale ());
+    mix = (if stock_level then Tpcc.stock_level_mix scale else Tpcc.mix ?skip_ytd scale);
+  }
+
+(* The workloads of Figs 6.1, 6.7 and 6.12, which the single-run
+   subcommands also name (Scenario.registry). *)
+let fig6_1_workload = smallbank ()
+let fig6_7_workload = sibench ~items:100 ()
+let fig6_12_workload = tpcc ~skip_ytd:true (Tpcc.standard ~warehouses:1)
+
 (* {1 Plans: figures as data, evaluated as one parallel batch}
 
    A [plan] is a figure whose measurement points have not run yet: each
-   series is a label plus a closure from MPL to a summary. [eval_plans]
-   flattens every (figure, series, MPL) point of a whole batch of plans
-   into one job list for the domain pool — points parallelise within a
-   sweep *and* across figures — and re-assembles the results in submission
-   order, so the printed tables are byte-identical to a sequential run.
+   series is a label plus a closure from budget and MPL to a summary, so
+   building a plan runs nothing. [eval_plans] flattens every (figure,
+   series, MPL) point of a whole batch of plans into one job list for the
+   domain pool — points parallelise within a sweep *and* across figures —
+   and re-assembles the results in submission order, so the printed tables
+   are byte-identical to a sequential run.
 
    The point closures must not touch the pool themselves (nested
    submission is rejected); each builds its own simulated world via
@@ -60,16 +116,15 @@ type plan = {
   pl_id : string;
   pl_title : string;
   pl_expected : string;
-  pl_mpls : int list;
-  pl_series : (string * (int -> Driver.summary)) list; (* label, mpl -> point *)
+  pl_series : (string * (budget -> int -> Driver.summary)) list; (* label, point *)
 }
 
-let eval_plans ?pool (plans : plan list) : figure list =
+let eval_plans ?pool ~(budget : budget) (plans : plan list) : figure list =
   let jobs =
     List.concat_map
       (fun p ->
         List.concat_map
-          (fun (_, point) -> List.map (fun mpl () -> point mpl) p.pl_mpls)
+          (fun (_, point) -> List.map (fun mpl () -> point budget mpl) budget.mpls)
           p.pl_series)
       plans
   in
@@ -92,17 +147,28 @@ let eval_plans ?pool (plans : plan list) : figure list =
         fig_id = p.pl_id;
         title = p.pl_title;
         expected = p.pl_expected;
-        mpls = p.pl_mpls;
+        mpls = budget.mpls;
         series =
           List.map
-            (fun (label, _) -> { label; points = take (List.length p.pl_mpls) })
+            (fun (label, _) -> { label; points = take (List.length budget.mpls) })
             p.pl_series;
       })
     plans
 
+(* The Berkeley DB profile's 0.5s periodic deadlock detector makes S2PL
+   results meaningless on sub-second windows, so points on that profile
+   measure for at least 1.5s. *)
+let window (b : budget) (c : Config.t) =
+  match c.Config.detection with
+  | Lockmgr.Periodic _ ->
+      { b with duration = Float.max b.duration 1.5; warmup = Float.max b.warmup 0.25 }
+  | Lockmgr.Immediate -> b
+
 (* One measurement point: [run_seeds] over the budget's seed list. *)
-let point ~budget ~make_db ~mix ~isolation mpl =
-  Driver.run_seeds ~with_metrics:budget.with_metrics ~make_db ~mix ~seeds:budget.seeds
+let point ~isolation w budget mpl =
+  let budget = window budget w.config in
+  Driver.run_seeds ~with_metrics:budget.with_metrics ~make_db:(make_db w) ~mix:w.mix
+    ~seeds:budget.seeds
     {
       Driver.default_config with
       Driver.isolation;
@@ -111,10 +177,17 @@ let point ~budget ~make_db ~mix ~isolation mpl =
       duration = budget.duration;
     }
 
-let sweep_series ?(levels = levels) ~make_db ~mix (budget : budget) =
+let figure ~id ~title ~expected series =
+  { pl_id = id; pl_title = title; pl_expected = expected; pl_series = series }
+
+(* [w] under SI, SSI and S2PL. *)
+let by_level w = List.map (fun (label, isolation) -> (label, point ~isolation w)) levels
+
+(* Labelled engine variants of [w], each run at SSI. *)
+let by_config w variants =
   List.map
-    (fun (label, isolation) -> (label, point ~budget ~make_db ~mix ~isolation))
-    levels
+    (fun (label, edit) -> (label, point ~isolation:Types.Serializable (with_config edit w)))
+    variants
 
 let print_figure fmt f =
   Fmt.pf fmt "@.=== %s: %s ===@." f.fig_id f.title;
@@ -184,325 +257,220 @@ let print_figure fmt f =
       f.mpls
   end
 
+
 (* {1 Berkeley DB / SmallBank experiments (§6.1)} *)
 
-(* The 0.5s periodic deadlock detector makes S2PL results meaningless on
-   sub-second windows; stretch the measurement for the BDB figures. *)
-let bdb_budget (b : budget) =
-  { b with duration = Float.max b.duration 1.5; warmup = Float.max b.warmup 0.25 }
+let flushed =
+  with_config (fun c -> { c with Config.wal_mode = Wal.Flush_per_commit 0.01 })
 
-let smallbank_db ?(customers = 20_000) ?(wal_mode = Wal.No_flush) ?(tweak = Fun.id) () =
- fun sim ->
-  let db = Db.create ~config:(tweak (Config.bdb ~wal_mode ())) sim in
-  Smallbank.setup db ~customers ();
-  db
-
-let fig6_1 (budget : budget) =
-  let budget = bdb_budget budget in
-  {
-    pl_id = "fig6.1";
-    pl_title = "Berkeley DB SmallBank, no log flush (throughput vs MPL)";
-    pl_expected =
+let fig6_1 =
+  figure ~id:"fig6.1" ~title:"Berkeley DB SmallBank, no log flush (throughput vs MPL)"
+    ~expected:
       "SI and SSI track each other and far exceed S2PL (~10x at MPL 20); S2PL errors are \
-       deadlocks, SSI adds unsafe aborts";
-    pl_mpls = budget.mpls;
-    pl_series =
-      sweep_series ~make_db:(smallbank_db ()) ~mix:(Smallbank.mix ~customers:20_000 ()) budget;
-  }
+       deadlocks, SSI adds unsafe aborts"
+    (by_level fig6_1_workload)
 
-let fig6_2 (budget : budget) =
-  let budget = bdb_budget budget in
-  {
-    pl_id = "fig6.2";
-    pl_title = "Berkeley DB SmallBank, log flushed at commit";
-    pl_expected =
+let fig6_2 =
+  figure ~id:"fig6.2" ~title:"Berkeley DB SmallBank, log flushed at commit"
+    ~expected:
       "I/O-bound: throughput rises with MPL via group commit; levels close until S2PL's \
-       deadlock stalls bite at high MPL";
-    pl_mpls = budget.mpls;
-    pl_series =
-      sweep_series
-        ~make_db:(smallbank_db ~wal_mode:(Wal.Flush_per_commit 0.01) ())
-        ~mix:(Smallbank.mix ~customers:20_000 ())
-        budget;
-  }
+       deadlock stalls bite at high MPL"
+    (by_level (flushed (smallbank ())))
 
-let fig6_3 (budget : budget) =
-  let budget = bdb_budget budget in
-  {
-    pl_id = "fig6.3";
-    pl_title = "Berkeley DB SmallBank, complex transactions (10 ops), log flush";
-    pl_expected = "still I/O-bound; results mirror Fig 6.2 though each txn does 10x the work";
-    pl_mpls = budget.mpls;
-    pl_series =
-      sweep_series
-        ~make_db:(smallbank_db ~wal_mode:(Wal.Flush_per_commit 0.01) ())
-        ~mix:(Smallbank.mix ~customers:20_000 ~ops_per_txn:10 ())
-        budget;
-  }
+let fig6_3 =
+  figure ~id:"fig6.3" ~title:"Berkeley DB SmallBank, complex transactions (10 ops), log flush"
+    ~expected:"still I/O-bound; results mirror Fig 6.2 though each txn does 10x the work"
+    (by_level (flushed (smallbank ~ops_per_txn:10 ())))
 
-let fig6_4 (budget : budget) =
-  let budget = bdb_budget budget in
-  {
-    pl_id = "fig6.4";
-    pl_title = "Berkeley DB SmallBank, 1/10th contention (10x accounts), log flush";
-    pl_expected =
+let fig6_4 =
+  figure ~id:"fig6.4" ~title:"Berkeley DB SmallBank, 1/10th contention (10x accounts), log flush"
+    ~expected:
       "S2PL and SI nearly identical; SSI 10-15% below due to page-level false positives \
-       (higher unsafe rate than true conflicts would justify)";
-    pl_mpls = budget.mpls;
-    pl_series =
-      sweep_series
-        ~make_db:(smallbank_db ~customers:200_000 ~wal_mode:(Wal.Flush_per_commit 0.01) ())
-        ~mix:(Smallbank.mix ~customers:200_000 ())
-        budget;
-  }
+       (higher unsafe rate than true conflicts would justify)"
+    (by_level (flushed (smallbank ~customers:200_000 ())))
 
-let fig6_5 (budget : budget) =
-  let budget = bdb_budget budget in
-  {
-    pl_id = "fig6.5";
-    pl_title = "Berkeley DB SmallBank, complex transactions + low contention";
-    pl_expected = "like Fig 6.4 with 10x work per txn; SSI overhead stays in the 10-15% band";
-    pl_mpls = budget.mpls;
-    pl_series =
-      sweep_series
-        ~make_db:(smallbank_db ~customers:200_000 ~wal_mode:(Wal.Flush_per_commit 0.01) ())
-        ~mix:(Smallbank.mix ~customers:200_000 ~ops_per_txn:10 ())
-        budget;
-  }
+let fig6_5 =
+  figure ~id:"fig6.5" ~title:"Berkeley DB SmallBank, complex transactions + low contention"
+    ~expected:"like Fig 6.4 with 10x work per txn; SSI overhead stays in the 10-15% band"
+    (by_level (flushed (smallbank ~customers:200_000 ~ops_per_txn:10 ())))
 
 (* {1 InnoDB / sibench experiments (§6.3)} *)
 
-let sibench_db ?(config = Config.innodb ()) ~items () =
- fun sim ->
-  let db = Db.create ~config sim in
-  Sibench.setup db ~items ();
-  db
+let sibench_title ~items ~queries_per_update =
+  Printf.sprintf "InnoDB sibench, %d items, %d quer%s per update" items queries_per_update
+    (if queries_per_update = 1 then "y" else "ies")
 
-let sibench_fig ~fig_id ~items ~queries_per_update ~expected (budget : budget) =
-  {
-    pl_id = fig_id;
-    pl_title =
-      Printf.sprintf "InnoDB sibench, %d items, %d quer%s per update" items queries_per_update
-        (if queries_per_update = 1 then "y" else "ies");
-    pl_expected = expected;
-    pl_mpls = budget.mpls;
-    pl_series =
-      sweep_series
-        ~make_db:(sibench_db ~items ())
-        ~mix:(Sibench.mix ~items ~queries_per_update ())
-        budget;
-  }
+let sibench_fig ~id ~items ~queries_per_update ~expected =
+  figure ~id
+    ~title:(sibench_title ~items ~queries_per_update)
+    ~expected
+    (by_level (sibench ~items ~queries_per_update ()))
 
-let fig6_6 = sibench_fig ~fig_id:"fig6.6" ~items:10 ~queries_per_update:1
-    ~expected:"small table: updates serialise on hot rows; SI and SSI equal, S2PL below \
-               (readers block writers)"
+let fig6_6 =
+  sibench_fig ~id:"fig6.6" ~items:10 ~queries_per_update:1
+    ~expected:"small table: updates serialise on hot rows; SI and SSI equal, S2PL below (readers \
+               block writers)"
 
-let fig6_7 = sibench_fig ~fig_id:"fig6.7" ~items:100 ~queries_per_update:1
-    ~expected:"SI and SSI still close; S2PL clearly below"
+let fig6_7 =
+  figure ~id:"fig6.7"
+    ~title:(sibench_title ~items:100 ~queries_per_update:1)
+    ~expected:"SI and SSI still close; S2PL clearly below" (by_level fig6_7_workload)
 
-let fig6_8 = sibench_fig ~fig_id:"fig6.8" ~items:1000 ~queries_per_update:1
-    ~expected:"1000-row scans: SSI pays per-row SIREAD costs through the single-threaded \
-               lock manager and falls below SI; S2PL worst"
+let fig6_8 =
+  sibench_fig ~id:"fig6.8" ~items:1000 ~queries_per_update:1
+    ~expected:"1000-row scans: SSI pays per-row SIREAD costs through the single-threaded lock \
+               manager and falls below SI; S2PL worst"
 
-let fig6_9 = sibench_fig ~fig_id:"fig6.9" ~items:10 ~queries_per_update:10
+let fig6_9 =
+  sibench_fig ~id:"fig6.9" ~items:10 ~queries_per_update:10
     ~expected:"query-mostly, 10 items: all levels closer; S2PL still pays read locking"
 
-let fig6_10 = sibench_fig ~fig_id:"fig6.10" ~items:100 ~queries_per_update:10
+let fig6_10 =
+  sibench_fig ~id:"fig6.10" ~items:100 ~queries_per_update:10
     ~expected:"query-mostly, 100 items: SI ahead; SSI between SI and S2PL"
 
-let fig6_11 = sibench_fig ~fig_id:"fig6.11" ~items:1000 ~queries_per_update:10
+let fig6_11 =
+  sibench_fig ~id:"fig6.11" ~items:1000 ~queries_per_update:10
     ~expected:"query-mostly, 1000 items: lock-manager traffic dominates; SI >> SSI > S2PL"
 
 (* {1 InnoDB / TPC-C++ experiments (§6.4)} *)
 
-let tpcc_db ?(read_miss = 0.0) ?(tweak = Fun.id) ~scale () =
- fun sim ->
-  let config = tweak { (Config.innodb ()) with Config.read_miss } in
-  let db = Db.create ~config sim in
-  Tpcc.setup db ~scale ();
-  db
+(* The larger-data configurations are I/O bound (§6.4.1). *)
+let io_bound = with_config (fun c -> { c with Config.read_miss = 0.05 })
 
-let tpcc_fig ~fig_id ~title ~expected ~scale ?(read_miss = 0.0) ?(skip_ytd = false)
-    ?(stock_level = false) (budget : budget) =
-  let mix = if stock_level then Tpcc.stock_level_mix scale else Tpcc.mix ~skip_ytd scale in
-  {
-    pl_id = fig_id;
-    pl_title = title;
-    pl_expected = expected;
-    pl_mpls = budget.mpls;
-    pl_series = sweep_series ~make_db:(tpcc_db ~read_miss ~scale ()) ~mix budget;
-  }
+let fig6_12 =
+  figure ~id:"fig6.12" ~title:"TPC-C++ 1 warehouse, skipping year-to-date updates"
+    ~expected:
+      "in-memory, one warehouse: SI and SSI within ~10%; S2PL lower once MPL grows (SLEV/OSTAT \
+       read locks block NEWO)"
+    (by_level fig6_12_workload)
 
-let fig6_12 (budget : budget) =
-  tpcc_fig ~fig_id:"fig6.12" ~title:"TPC-C++ 1 warehouse, skipping year-to-date updates"
-    ~scale:(Tpcc.standard ~warehouses:1) ~skip_ytd:true
-    ~expected:"in-memory, one warehouse: SI and SSI within ~10%; S2PL lower once MPL grows \
-               (SLEV/OSTAT read locks block NEWO)"
-    budget
+let fig6_13 =
+  figure ~id:"fig6.13" ~title:"TPC-C++ 10 warehouses (larger data volume)"
+    ~expected:
+      "I/O-bound: all three algorithms nearly indistinguishable; throughput rises with MPL as \
+       the disk pipeline fills"
+    (by_level (io_bound (tpcc (Tpcc.standard ~warehouses:10))))
 
-let fig6_13 (budget : budget) =
-  tpcc_fig ~fig_id:"fig6.13" ~title:"TPC-C++ 10 warehouses (larger data volume)"
-    ~scale:(Tpcc.standard ~warehouses:10) ~read_miss:0.05
-    ~expected:"I/O-bound: all three algorithms nearly indistinguishable; throughput rises \
-               with MPL as the disk pipeline fills"
-    budget
-
-let fig6_14 (budget : budget) =
-  tpcc_fig ~fig_id:"fig6.14" ~title:"TPC-C++ 10 warehouses, skipping ytd updates"
-    ~scale:(Tpcc.standard ~warehouses:10) ~read_miss:0.05 ~skip_ytd:true
+let fig6_14 =
+  figure ~id:"fig6.14" ~title:"TPC-C++ 10 warehouses, skipping ytd updates"
     ~expected:"still I/O-bound; skipping the ytd hotspots changes little at this scale"
-    budget
+    (by_level (io_bound (tpcc ~skip_ytd:true (Tpcc.standard ~warehouses:10))))
 
-let fig6_15 (budget : budget) =
-  tpcc_fig ~fig_id:"fig6.15" ~title:"TPC-C++ 10 warehouses, tiny data scaling (high contention)"
-    ~scale:(Tpcc.tiny ~warehouses:10)
-    ~expected:"in-memory and contended: SI and SSI stay close; S2PL falls behind as blocking \
-               grows; SSI unsafe aborts visible but small"
-    budget
+let fig6_15 =
+  figure ~id:"fig6.15" ~title:"TPC-C++ 10 warehouses, tiny data scaling (high contention)"
+    ~expected:
+      "in-memory and contended: SI and SSI stay close; S2PL falls behind as blocking grows; SSI \
+       unsafe aborts visible but small"
+    (by_level (tpcc (Tpcc.tiny ~warehouses:10)))
 
-let fig6_16 (budget : budget) =
-  tpcc_fig ~fig_id:"fig6.16" ~title:"TPC-C++ tiny scaling, skipping ytd updates"
-    ~scale:(Tpcc.tiny ~warehouses:10) ~skip_ytd:true
+let fig6_16 =
+  figure ~id:"fig6.16" ~title:"TPC-C++ tiny scaling, skipping ytd updates"
     ~expected:"removing the Payment ytd hotspot lifts SI/SSI further above S2PL"
-    budget
+    (by_level (tpcc ~skip_ytd:true (Tpcc.tiny ~warehouses:10)))
 
-let fig6_17 (budget : budget) =
-  tpcc_fig ~fig_id:"fig6.17" ~title:"TPC-C++ Stock Level mix, 10 warehouses"
-    ~scale:(Tpcc.standard ~warehouses:10) ~read_miss:0.05 ~stock_level:true
-    ~expected:"read-mostly mix dominated by large scans: multiversioning wins; S2PL's read \
-               locks on stock rows block New Order"
-    budget
+let fig6_17 =
+  figure ~id:"fig6.17" ~title:"TPC-C++ Stock Level mix, 10 warehouses"
+    ~expected:
+      "read-mostly mix dominated by large scans: multiversioning wins; S2PL's read locks on \
+       stock rows block New Order"
+    (by_level (io_bound (tpcc ~stock_level:true (Tpcc.standard ~warehouses:10))))
 
-let fig6_18 (budget : budget) =
-  tpcc_fig ~fig_id:"fig6.18" ~title:"TPC-C++ Stock Level mix, tiny scaling"
-    ~scale:(Tpcc.tiny ~warehouses:10) ~stock_level:true
-    ~expected:"in-memory scans: SI clearly ahead of SSI (per-row SIREAD cost), S2PL worst — \
-               the sibench 100-item regime writ large"
-    budget
+let fig6_18 =
+  figure ~id:"fig6.18" ~title:"TPC-C++ Stock Level mix, tiny scaling"
+    ~expected:
+      "in-memory scans: SI clearly ahead of SSI (per-row SIREAD cost), S2PL worst — the \
+       sibench 100-item regime writ large"
+    (by_level (tpcc ~stock_level:true (Tpcc.tiny ~warehouses:10)))
 
 (* {1 Ablations (§3.6, §3.7, §2.8.5)} *)
 
-(* Basic vs precise SSI: false-positive rate and throughput (§3.6). *)
-let ablation_precise (budget : budget) =
-  let budget = bdb_budget budget in
-  (* High contention (few accounts) so that unsafe aborts are frequent
-     enough to show the basic-vs-precise difference. *)
-  let make_db variant sim =
-    let config = { (Config.bdb ()) with Config.ssi = variant } in
-    let db = Db.create ~config sim in
-    Smallbank.setup db ~customers:1_000 ();
-    db
-  in
-  {
-    pl_id = "ablation-precise";
-    pl_title = "SSI basic flags (§3.2) vs precise conflict references (§3.6), SmallBank";
-    pl_expected = "precise mode (conflict references + commit-time tests) has a lower unsafe \
-                rate than the boolean flags at equal or better throughput";
-    pl_mpls = budget.mpls;
-    pl_series =
-      List.map
-        (fun (label, variant) ->
-          ( label,
-            point ~budget ~make_db:(make_db variant)
-              ~mix:(Smallbank.mix ~customers:1_000 ())
-              ~isolation:Types.Serializable ))
-        [ ("SSI-basic", Config.Basic); ("SSI-precise", Config.Precise) ];
-  }
+(* Basic vs precise SSI: false-positive rate and throughput (§3.6). High
+   contention (few accounts) so that unsafe aborts are frequent enough to
+   show the difference. *)
+let ablation_precise =
+  figure ~id:"ablation-precise"
+    ~title:"SSI basic flags (§3.2) vs precise conflict references (§3.6), SmallBank"
+    ~expected:
+      "precise mode (conflict references + commit-time tests) has a lower unsafe rate than the \
+       boolean flags at equal or better throughput"
+    (by_config (smallbank ~customers:1_000 ())
+       [
+         ("SSI-basic", fun c -> { c with Config.ssi = Config.Basic });
+         ("SSI-precise", fun c -> { c with Config.ssi = Config.Precise });
+       ])
 
 (* SIREAD upgrade (§3.7.3) on/off. *)
-let ablation_upgrade (budget : budget) =
-  let budget = bdb_budget budget in
-  let make_db upgrade sim =
-    let config = { (Config.bdb ()) with Config.upgrade_siread = upgrade } in
-    let db = Db.create ~config sim in
-    Smallbank.setup db ~customers:20_000 ();
-    db
-  in
-  {
-    pl_id = "ablation-upgrade";
-    pl_title = "SIREAD->X upgrade optimisation (§3.7.3) on vs off, SmallBank SSI";
-    pl_expected = "upgrade reduces retained locks and suspended transactions; throughput equal \
-                or better";
-    pl_mpls = budget.mpls;
-    pl_series =
-      List.map
-        (fun (label, upgrade) ->
-          ( label,
-            point ~budget ~make_db:(make_db upgrade)
-              ~mix:(Smallbank.mix ~customers:20_000 ())
-              ~isolation:Types.Serializable ))
-        [ ("upgrade-on", true); ("upgrade-off", false) ];
-  }
+let ablation_upgrade =
+  figure ~id:"ablation-upgrade"
+    ~title:"SIREAD->X upgrade optimisation (§3.7.3) on vs off, SmallBank SSI"
+    ~expected:
+      "upgrade reduces retained locks and suspended transactions; throughput equal or better"
+    (by_config (smallbank ())
+       [
+         ("upgrade-on", fun c -> { c with Config.upgrade_siread = true });
+         ("upgrade-off", fun c -> { c with Config.upgrade_siread = false });
+       ])
 
 (* The §2.8.5 static fixes under plain SI vs Serializable SI: the
    alternative the paper's approach replaces (cf. Alomari et al. 2008). *)
-let ablation_fixes (budget : budget) =
-  let budget = bdb_budget budget in
-  let make_db sim =
-    let db = Db.create ~config:(Config.bdb ()) sim in
-    Smallbank.setup db ~customers:20_000 ();
-    db
-  in
-  let series_of label isolation fix =
-    (label, point ~budget ~make_db ~mix:(Smallbank.mix ~fix ~customers:20_000 ()) ~isolation)
-  in
-  {
-    pl_id = "ablation-fixes";
-    pl_title = "Making SmallBank serializable: static fixes at SI vs Serializable SI (§2.8.5)";
-    pl_expected = "which fix wins is platform-dependent (Alomari 2008): here promotion beats \
-                materialization (as on PostgreSQL) and PromoteBW adds the most conflicts \
-                (it turns the read-only Bal into an update); SSI is competitive with the \
-                best fix without any application change";
-    pl_mpls = budget.mpls;
-    pl_series =
-      [
-        series_of "SSI" Types.Serializable Smallbank.No_fix;
-        series_of "SI+MatWT" Types.Snapshot Smallbank.Materialize_wt;
-        series_of "SI+PromWT" Types.Snapshot Smallbank.Promote_wt;
-        series_of "SI+MatBW" Types.Snapshot Smallbank.Materialize_bw;
-        series_of "SI+PromBW" Types.Snapshot Smallbank.Promote_bw;
-      ];
-  }
+let ablation_fixes =
+  figure ~id:"ablation-fixes"
+    ~title:"Making SmallBank serializable: static fixes at SI vs Serializable SI (§2.8.5)"
+    ~expected:
+      "which fix wins is platform-dependent (Alomari 2008): here promotion beats \
+       materialization (as on PostgreSQL) and PromoteBW adds the most conflicts (it turns the \
+       read-only Bal into an update); SSI is competitive with the best fix without any \
+       application change"
+    (List.map
+       (fun (label, isolation, fix) -> (label, point ~isolation (smallbank ~fix ())))
+       [
+         ("SSI", Types.Serializable, Smallbank.No_fix);
+         ("SI+MatWT", Types.Snapshot, Smallbank.Materialize_wt);
+         ("SI+PromWT", Types.Snapshot, Smallbank.Promote_wt);
+         ("SI+MatBW", Types.Snapshot, Smallbank.Materialize_bw);
+         ("SI+PromBW", Types.Snapshot, Smallbank.Promote_bw);
+       ])
 
 (* Kernel-mutex (single-threaded lock manager) ablation for the §6.3
    bottleneck analysis. *)
-let ablation_lock_mutex (budget : budget) =
-  let make_db mutex sim =
-    let config = { (Config.innodb ()) with Config.lock_mutex = mutex } in
-    let db = Db.create ~config sim in
-    Sibench.setup db ~items:1000 ();
-    db
-  in
+let ablation_lock_mutex =
+  figure ~id:"ablation-mutex" ~title:"InnoDB kernel mutex on/off, sibench 1000 items, SSI"
+    ~expected:
+      "serialised lock manager caps SSI scan throughput (§6.3); removing it recovers most of \
+       the gap to SI"
+    (by_config (sibench ~items:1000 ())
+       [
+         ("mutex-on", fun c -> { c with Config.lock_mutex = true });
+         ("mutex-off", fun c -> { c with Config.lock_mutex = false });
+       ])
+
+(* A summary row for the custom-loop figures below, which measure only
+   throughput, the unsafe rate and one gauge (in the "(locks)" column). *)
+let loop_summary ~mpl ~tps ~unsafe_rate ~gauge =
+  let m, ci = Stats.ci95 tps in
   {
-    pl_id = "ablation-mutex";
-    pl_title = "InnoDB kernel mutex on/off, sibench 1000 items, SSI";
-    pl_expected = "serialised lock manager caps SSI scan throughput (§6.3); removing it \
-                recovers most of the gap to SI";
-    pl_mpls = budget.mpls;
-    pl_series =
-      List.map
-        (fun (label, mutex) ->
-          ( label,
-            point ~budget ~make_db:(make_db mutex)
-              ~mix:(Sibench.mix ~items:1000 ())
-              ~isolation:Types.Serializable ))
-        [ ("mutex-on", true); ("mutex-off", false) ];
+    Driver.s_mpl = mpl;
+    s_throughput = m;
+    s_ci = ci;
+    s_deadlock_rate = 0.0;
+    s_conflict_rate = 0.0;
+    s_unsafe_rate = unsafe_rate;
+    s_user_abort_rate = 0.0;
+    s_mean_response = 0.0;
+    s_lock_table = gauge;
+    s_metrics = None;
   }
 
-(* Mixed mode (§3.8): read-only queries at plain SI alongside SSI updates. *)
-let ablation_mixed (budget : budget) =
-  let make_db sim =
-    let db = Db.create ~config:(Config.innodb ()) sim in
-    Sibench.setup db ~items:1000 ();
-    db
-  in
-  (* The driver applies one isolation level per run; mixed mode is driven by
-     a custom client loop instead. *)
-  let run_mixed ~queries_at mpl seed =
+(* Mixed mode (§3.8): read-only queries at plain SI alongside SSI updates.
+   The driver applies one isolation level per run; mixed mode is driven by
+   a custom client loop instead. *)
+let ablation_mixed =
+  let w = sibench ~items:1000 () in
+  let run_mixed budget ~queries_at mpl seed =
     let sim = Sim.create () in
-    let db = make_db sim in
+    let db = make_db w sim in
     let commits = ref 0 in
-    let unsafe = ref 0 in
     let horizon = budget.warmup +. budget.duration in
     for client = 1 to mpl do
       Sim.spawn sim (fun () ->
@@ -516,8 +484,6 @@ let ablation_mixed (budget : budget) =
               in
               (match Db.run db isolation body with
               | Ok () -> if Sim.now sim >= budget.warmup then incr commits
-              | Error Types.Unsafe ->
-                  if Sim.now sim >= budget.warmup then incr unsafe
               | Error _ -> ());
               loop ()
             end
@@ -525,323 +491,212 @@ let ablation_mixed (budget : budget) =
           loop ())
     done;
     Sim.run ~until:horizon sim;
-    (float_of_int !commits /. budget.duration, !unsafe)
+    float_of_int !commits /. budget.duration
   in
-  let mixed_point queries_at mpl =
-    let tps = List.map (fun seed -> fst (run_mixed ~queries_at mpl seed)) budget.seeds in
-    let m, ci = Stats.ci95 tps in
-    {
-      Driver.s_mpl = mpl;
-      s_throughput = m;
-      s_ci = ci;
-      s_deadlock_rate = 0.0;
-      s_conflict_rate = 0.0;
-      s_unsafe_rate = 0.0;
-      s_user_abort_rate = 0.0;
-      s_mean_response = 0.0;
-      s_lock_table = 0.0;
-      s_metrics = None;
-    }
+  let mixed_point queries_at budget mpl =
+    loop_summary ~mpl
+      ~tps:(List.map (run_mixed budget ~queries_at mpl) budget.seeds)
+      ~unsafe_rate:0.0 ~gauge:0.0
   in
-  {
-    pl_id = "ablation-mixed";
-    pl_title = "Queries at plain SI mixed with SSI updates (§3.8), sibench 1000";
-    pl_expected = "running read-only queries at SI removes their SIREAD overhead and unsafe \
-                aborts; total throughput improves";
-    pl_mpls = budget.mpls;
-    pl_series =
-      List.map
-        (fun (label, queries_at) -> (label, mixed_point queries_at))
-        [ ("queries@SSI", Types.Serializable); ("queries@SI", Types.Snapshot) ];
-  }
+  figure ~id:"ablation-mixed"
+    ~title:"Queries at plain SI mixed with SSI updates (§3.8), sibench 1000"
+    ~expected:
+      "running read-only queries at SI removes their SIREAD overhead and unsafe aborts; total \
+       throughput improves"
+    [
+      ("queries@SSI", mixed_point Types.Serializable);
+      ("queries@SI", mixed_point Types.Snapshot);
+    ]
 
 (* Read-only snapshot refinement (extension) on/off: high-contention
-   SmallBank, where Bal is a declared read-only query. *)
-let ablation_ro (budget : budget) =
-  let budget = bdb_budget budget in
-  let make_db refinement sim =
-    (* Precise mode: the refinement extends the conflict-reference tests. *)
-    let config =
-      { (Config.bdb ()) with Config.ssi = Config.Precise; Config.ro_refinement = refinement }
-    in
-    let db = Db.create ~config sim in
-    Smallbank.setup db ~customers:1_000 ();
-    db
-  in
-  {
-    pl_id = "ablation-ro";
-    pl_title = "Read-only snapshot refinement on/off, SmallBank SSI (extension)";
-    pl_expected =
-      "pivots whose incoming neighbour is a declared read-only Bal that began before \
-       T_out committed are spared: lower unsafe rate at equal or better throughput";
-    pl_mpls = budget.mpls;
-    pl_series =
-      List.map
-        (fun (label, refinement) ->
-          ( label,
-            point ~budget ~make_db:(make_db refinement)
-              ~mix:(Smallbank.mix ~customers:1_000 ())
-              ~isolation:Types.Serializable ))
-        [ ("refinement-off", false); ("refinement-on", true) ];
-  }
+   SmallBank, where Bal is a declared read-only query. Precise mode: the
+   refinement extends the conflict-reference tests. *)
+let ablation_ro =
+  figure ~id:"ablation-ro"
+    ~title:"Read-only snapshot refinement on/off, SmallBank SSI (extension)"
+    ~expected:
+      "pivots whose incoming neighbour is a declared read-only Bal that began before T_out \
+       committed are spared: lower unsafe rate at equal or better throughput"
+    (by_config (smallbank ~customers:1_000 ())
+       [
+         ( "refinement-off",
+           fun c -> { c with Config.ssi = Config.Precise; ro_refinement = false } );
+         ("refinement-on", fun c -> { c with Config.ssi = Config.Precise; ro_refinement = true });
+       ])
 
-(* Bounded-memory SIREAD retention (Config.memory_budget): a pinned
-   read-only snapshot keeps the oldest-active-snapshot watermark from
-   reclaiming anything, so unbounded SSI retention (§4.8) grows with every
-   commit for as long as the pin holds. The budget caps it with row->page
-   promotion and committed-transaction summarization, at the price of
-   conservative (false-positive) unsafe aborts. The driver applies one
-   isolation level per run and has no pinned client, so this figure runs a
-   custom loop like ablation-mixed; the "(locks)" column reports the
-   retained-records + live-SIREAD-entries high-water mark. *)
-let ablation_retention (budget : budget) =
-  let keys = 256 in
-  let key i = Printf.sprintf "k%03d" i in
-  let run_bounded ~memory_budget mpl seed =
-    let sim = Sim.create () in
-    let config =
+(* {1 Bounded-memory SIREAD retention (§4.8 extension)}
+
+   A pinned read-only snapshot keeps the oldest-active-snapshot watermark
+   from reclaiming anything, so unbounded SSI retention (§4.8) grows with
+   every commit for as long as the pin holds. [Config.memory_budget] caps
+   it with row->page promotion and committed-transaction summarization, at
+   the price of conservative (false-positive) unsafe aborts. The driver
+   applies one isolation level per run and has no pinned client, so this
+   workload's clients are the custom loop in [retention_run] and its mix is
+   empty. *)
+
+let retention_keys = 256
+let retention_key i = Printf.sprintf "k%03d" i
+
+let retention ?memory_budget () =
+  {
+    config =
       {
         (Config.innodb ~wal_mode:Wal.No_flush ()) with
         Config.lock_mutex = false;
         memory_budget;
         promote_threshold = 4;
-      }
-    in
-    let db = Db.create ~config sim in
-    ignore (Db.create_table db "t");
-    Db.load db "t" (List.init keys (fun i -> (key i, "0")));
-    let horizon = budget.warmup +. budget.duration in
-    (* the pin: a read-only SSI snapshot held for the whole window *)
-    Sim.spawn sim (fun () ->
-        ignore
-          (Db.run db Types.Serializable (fun t ->
-               for i = 0 to 7 do
-                 ignore (Txn.read t "t" (key i))
-               done;
-               Sim.delay sim horizon)));
-    let commits = ref 0 and unsafe = ref 0 and hwm = ref 0 in
-    for client = 1 to mpl do
-      Sim.spawn sim (fun () ->
-          let st = Random.State.make [| seed; client |] in
-          let rec loop () =
-            if Sim.now sim < horizon then begin
-              let r = key (Random.State.int st keys) in
-              let w = key (Random.State.int st keys) in
-              (match
-                 Db.run db Types.Serializable (fun t ->
-                     ignore (Txn.read t "t" r);
-                     Txn.write t "t" w "1")
-               with
-              | Ok () -> if Sim.now sim >= budget.warmup then incr commits
-              | Error Types.Unsafe -> if Sim.now sim >= budget.warmup then incr unsafe
-              | Error _ -> ());
-              let p = Db.retained_count db + Db.siread_entry_count db in
-              if p > !hwm then hwm := p;
-              loop ()
-            end
-          in
-          loop ())
-    done;
-    Sim.run ~until:horizon sim;
-    (float_of_int !commits /. budget.duration, !unsafe, !commits, !hwm)
-  in
-  let bounded_point memory_budget mpl =
-    let runs = List.map (fun seed -> run_bounded ~memory_budget mpl seed) budget.seeds in
-    let m, ci = Stats.ci95 (List.map (fun (tps, _, _, _) -> tps) runs) in
-    let unsafe = List.fold_left (fun acc (_, u, _, _) -> acc + u) 0 runs in
-    let commits = List.fold_left (fun acc (_, _, c, _) -> acc + c) 0 runs in
-    let hwm = List.fold_left (fun acc (_, _, _, h) -> max acc h) 0 runs in
-    {
-      Driver.s_mpl = mpl;
-      s_throughput = m;
-      s_ci = ci;
-      s_deadlock_rate = 0.0;
-      s_conflict_rate = 0.0;
-      s_unsafe_rate =
-        (if commits > 0 then float_of_int unsafe /. float_of_int commits else 0.0);
-      s_user_abort_rate = 0.0;
-      s_mean_response = 0.0;
-      s_lock_table = float_of_int hwm;
-      s_metrics = None;
-    }
-  in
-  {
-    pl_id = "retention-budget";
-    pl_title = "SIREAD retention under a pinned snapshot: unbounded vs memory budget 256";
-    pl_expected =
-      "unbounded retention grows with every commit while the pin holds (the lock column is \
-       the retained+SIREAD high-water mark, far above MPL); the budget caps it near 256 via \
-       promotion and summarization, costing a modest rise in conservative unsafe aborts at \
-       similar throughput";
-    pl_mpls = budget.mpls;
-    pl_series =
-      [ ("unbounded", bounded_point None); ("budget=256", bounded_point (Some 256)) ];
+      };
+    setup =
+      (fun db ->
+        ignore (Db.create_table db "t");
+        Db.load db "t" (List.init retention_keys (fun i -> (retention_key i, "0"))));
+    mix = [];
   }
 
-(* Timeline variant of the retention experiment: the same bounded-memory
-   loop, but the pinned read-only snapshot RELEASES at 60% of the horizon
-   and the run carries a tracing+provenance sink. The timeline's retention
-   gauges then show the §4.8 mechanism as a time series instead of a single
-   high-water mark: SIREAD/retained ramp monotonically while the pin holds
-   the oldest-active-snapshot watermark back, then fall after the release
-   drains the suspended queue. Returns the sink and the horizon (pass both
-   to [Timeline.of_obs ~horizon] so trailing quiet windows materialise). *)
-let retention_timeline_run ?memory_budget ~mpl ~warmup ~duration ~seed () =
-  let keys = 256 in
-  let key i = Printf.sprintf "k%03d" i in
+type retention_counts = {
+  rc_commits : int;  (** after warmup *)
+  rc_unsafe : int;  (** unsafe aborts after warmup *)
+  rc_hwm : int;  (** high-water mark of retained records + live SIREAD entries *)
+}
+
+(* One run of the retention loop at SSI: a read-only snapshot reads 8 keys
+   and holds until [pin_release] (default: past the horizon), while [mpl]
+   clients each read one random key and write another. [obs] is attached
+   before loading. *)
+let retention_run ?obs ?memory_budget ?pin_release ~mpl ~warmup ~duration seed =
   let sim = Sim.create () in
-  let config =
-    {
-      (Config.innodb ~wal_mode:Wal.No_flush ()) with
-      Config.lock_mutex = false;
-      memory_budget;
-      promote_threshold = 4;
-    }
-  in
-  let db = Db.create ~config sim in
-  let obs = Obs.create ~trace:true ~provenance:true ~metrics:true () in
-  Db.set_obs db obs;
-  ignore (Db.create_table db "t");
-  Db.load db "t" (List.init keys (fun i -> (key i, "0")));
+  let db = make_db ?obs (retention ?memory_budget ()) sim in
+  let key = retention_key in
   let horizon = warmup +. duration in
-  let pin_release = warmup +. (0.6 *. duration) in
   Sim.spawn sim (fun () ->
       ignore
         (Db.run db Types.Serializable (fun t ->
              for i = 0 to 7 do
                ignore (Txn.read t "t" (key i))
              done;
-             Sim.delay sim (pin_release -. Sim.now sim))));
+             Sim.delay sim
+               (match pin_release with Some r -> r -. Sim.now sim | None -> horizon))));
+  let commits = ref 0 and unsafe = ref 0 and hwm = ref 0 in
   for client = 1 to mpl do
     Sim.spawn sim (fun () ->
         let st = Random.State.make [| seed; client |] in
         let rec loop () =
           if Sim.now sim < horizon then begin
-            let r = key (Random.State.int st keys) in
-            let w = key (Random.State.int st keys) in
-            ignore
-              (Db.run db Types.Serializable (fun t ->
+            let r = key (Random.State.int st retention_keys) in
+            let w = key (Random.State.int st retention_keys) in
+            (match
+               Db.run db Types.Serializable (fun t ->
                    ignore (Txn.read t "t" r);
-                   Txn.write t "t" w "1"));
+                   Txn.write t "t" w "1")
+             with
+            | Ok () -> if Sim.now sim >= warmup then incr commits
+            | Error Types.Unsafe -> if Sim.now sim >= warmup then incr unsafe
+            | Error _ -> ());
+            hwm := max !hwm (Db.retained_count db + Db.siread_entry_count db);
             loop ()
           end
         in
         loop ())
   done;
   Sim.run ~until:horizon sim;
-  if not (Db.work_conserved db) then
-    failwith "retention_timeline_run: wasted-work conservation violated";
-  (obs, horizon)
+  if not (Db.work_conserved db) then failwith "retention_run: wasted-work conservation violated";
+  { rc_commits = !commits; rc_unsafe = !unsafe; rc_hwm = !hwm }
+
+(* The pin holds for the whole window; the "(locks)" column reports the
+   retained-records + live-SIREAD-entries high-water mark. *)
+let ablation_retention =
+  let bounded_point memory_budget budget mpl =
+    let runs =
+      List.map
+        (retention_run ?memory_budget ~mpl ~warmup:budget.warmup ~duration:budget.duration)
+        budget.seeds
+    in
+    let sum f = List.fold_left (fun acc r -> acc + f r) 0 runs in
+    let commits = sum (fun r -> r.rc_commits) in
+    loop_summary ~mpl
+      ~tps:(List.map (fun r -> float_of_int r.rc_commits /. budget.duration) runs)
+      ~unsafe_rate:
+        (if commits > 0 then float_of_int (sum (fun r -> r.rc_unsafe)) /. float_of_int commits
+         else 0.0)
+      ~gauge:(float_of_int (List.fold_left (fun acc r -> max acc r.rc_hwm) 0 runs))
+  in
+  figure ~id:"retention-budget"
+    ~title:"SIREAD retention under a pinned snapshot: unbounded vs memory budget 256"
+    ~expected:
+      "unbounded retention grows with every commit while the pin holds (the lock column is the \
+       retained+SIREAD high-water mark, far above MPL); the budget caps it near 256 via \
+       promotion and summarization, costing a modest rise in conservative unsafe aborts at \
+       similar throughput"
+    [ ("unbounded", bounded_point None); ("budget=256", bounded_point (Some 256)) ]
 
 (* Real LRU buffer pool vs the probabilistic read_miss model on the
    I/O-bound TPC-C++ configuration of Fig 6.13 — validating the DESIGN.md
    substitution. *)
-let ablation_bufferpool (budget : budget) =
-  let scale = Tpcc.standard ~warehouses:10 in
-  let make_db variant sim =
-    let config =
-      match variant with
-      | `Probabilistic -> { (Config.innodb ()) with Config.read_miss = 0.05 }
-      | `Pool pages -> { (Config.innodb ()) with Config.buffer_pool = Some pages }
-    in
-    let db = Db.create ~config sim in
-    Tpcc.setup db ~scale ();
-    Db.prewarm_cache db;
-    db
-  in
-  {
-    pl_id = "ablation-bufferpool";
-    pl_title = "TPC-C++ 10 warehouses: probabilistic miss model vs real LRU buffer pool";
-    pl_expected =
+let ablation_bufferpool =
+  let w = tpcc (Tpcc.standard ~warehouses:10) in
+  let pool pages c = { c with Config.buffer_pool = Some pages } in
+  figure ~id:"ablation-bufferpool"
+    ~title:"TPC-C++ 10 warehouses: probabilistic miss model vs real LRU buffer pool"
+    ~expected:
       "a pool smaller than the hot set is I/O bound and thrashes as MPL grows (locality \
        dynamics the flat read_miss model cannot show); a pool covering the hot set recovers \
-       in-memory throughput — validating the DESIGN.md substitution for Fig 6.13";
-    pl_mpls = budget.mpls;
-    pl_series =
-      List.map
-        (fun (label, variant) ->
-          ( label,
-            point ~budget ~make_db:(make_db variant) ~mix:(Tpcc.mix scale)
-              ~isolation:Types.Serializable ))
-        [
-          ("read-miss 5%", `Probabilistic);
-          ("LRU small", `Pool 2_500);
-          ("LRU big", `Pool 200_000);
-        ];
-  }
+       in-memory throughput — validating the DESIGN.md substitution for Fig 6.13"
+    (by_config
+       {
+         w with
+         setup =
+           (fun db ->
+             w.setup db;
+             Db.prewarm_cache db);
+       }
+       [
+         ("read-miss 5%", fun c -> { c with Config.read_miss = 0.05 });
+         ("LRU small", pool 2_500);
+         ("LRU big", pool 200_000);
+       ])
 
 (* {1 Registry} *)
 
 let all_figures =
   [
-    ("fig6.1", fig6_1);
-    ("fig6.2", fig6_2);
-    ("fig6.3", fig6_3);
-    ("fig6.4", fig6_4);
-    ("fig6.5", fig6_5);
-    ("fig6.6", fig6_6);
-    ("fig6.7", fig6_7);
-    ("fig6.8", fig6_8);
-    ("fig6.9", fig6_9);
-    ("fig6.10", fig6_10);
-    ("fig6.11", fig6_11);
-    ("fig6.12", fig6_12);
-    ("fig6.13", fig6_13);
-    ("fig6.14", fig6_14);
-    ("fig6.15", fig6_15);
-    ("fig6.16", fig6_16);
-    ("fig6.17", fig6_17);
-    ("fig6.18", fig6_18);
-    ("ablation-precise", ablation_precise);
-    ("ablation-upgrade", ablation_upgrade);
-    ("ablation-fixes", ablation_fixes);
-    ("ablation-mutex", ablation_lock_mutex);
-    ("ablation-mixed", ablation_mixed);
-    ("ablation-bufferpool", ablation_bufferpool);
-    ("ablation-ro", ablation_ro);
-    ("retention-budget", ablation_retention);
+    fig6_1;
+    fig6_2;
+    fig6_3;
+    fig6_4;
+    fig6_5;
+    fig6_6;
+    fig6_7;
+    fig6_8;
+    fig6_9;
+    fig6_10;
+    fig6_11;
+    fig6_12;
+    fig6_13;
+    fig6_14;
+    fig6_15;
+    fig6_16;
+    fig6_17;
+    fig6_18;
+    ablation_precise;
+    ablation_upgrade;
+    ablation_fixes;
+    ablation_lock_mutex;
+    ablation_mixed;
+    ablation_bufferpool;
+    ablation_ro;
+    ablation_retention;
   ]
 
-(* Static titles so `list` does not need to run anything. *)
-let titles =
-  [
-    ("fig6.1", "Berkeley DB SmallBank, no log flush");
-    ("fig6.2", "Berkeley DB SmallBank, log flushed at commit");
-    ("fig6.3", "Berkeley DB SmallBank, complex transactions, log flush");
-    ("fig6.4", "Berkeley DB SmallBank, low contention (10x accounts)");
-    ("fig6.5", "Berkeley DB SmallBank, complex + low contention");
-    ("fig6.6", "InnoDB sibench, 10 items, mixed workload");
-    ("fig6.7", "InnoDB sibench, 100 items, mixed workload");
-    ("fig6.8", "InnoDB sibench, 1000 items, mixed workload");
-    ("fig6.9", "InnoDB sibench, 10 items, query-mostly");
-    ("fig6.10", "InnoDB sibench, 100 items, query-mostly");
-    ("fig6.11", "InnoDB sibench, 1000 items, query-mostly");
-    ("fig6.12", "TPC-C++ 1 warehouse, skip ytd");
-    ("fig6.13", "TPC-C++ 10 warehouses (I/O bound)");
-    ("fig6.14", "TPC-C++ 10 warehouses, skip ytd");
-    ("fig6.15", "TPC-C++ tiny scaling (high contention)");
-    ("fig6.16", "TPC-C++ tiny scaling, skip ytd");
-    ("fig6.17", "TPC-C++ Stock Level mix, 10 warehouses");
-    ("fig6.18", "TPC-C++ Stock Level mix, tiny scaling");
-    ("ablation-precise", "SSI basic vs precise conflict tracking (3.6)");
-    ("ablation-upgrade", "SIREAD upgrade optimisation on/off (3.7.3)");
-    ("ablation-fixes", "SmallBank static fixes at SI vs SSI (2.8.5)");
-    ("ablation-mutex", "lock-manager kernel mutex on/off (6.3)");
-    ("ablation-mixed", "SI queries mixed with SSI updates (3.8)");
-    ("ablation-bufferpool", "probabilistic read_miss vs real LRU buffer pool");
-    ("ablation-ro", "read-only snapshot refinement on/off (extension)");
-    ("retention-budget", "bounded SIREAD memory: unbounded vs budget (4.8 extension)");
-  ]
-
-let find_figure id = List.assoc_opt id all_figures
+let find_figure id = List.find_opt (fun p -> p.pl_id = id) all_figures
 
 (* Run a batch of experiments: every (figure, series, MPL) point across
    all requested ids is submitted to the pool as one flat job list, then
    the figures print in request order — identical bytes to a sequential
    run, arbitrary parallelism across sweeps and figures. *)
 let run_many ?pool ?(budget = full_budget) fmt ids =
-  let items = List.map (fun id -> (id, Option.map (fun mk -> mk budget) (find_figure id))) ids in
-  let figures = ref (eval_plans ?pool (List.filter_map snd items)) in
+  let items = List.map (fun id -> (id, find_figure id)) ids in
+  let figures = ref (eval_plans ?pool ~budget (List.filter_map snd items)) in
   List.iter
     (fun (id, plan) ->
       match plan with
@@ -853,5 +708,3 @@ let run_many ?pool ?(budget = full_budget) fmt ids =
               print_figure fmt f
           | [] -> assert false))
     items
-
-let run_and_print ?pool ?(budget = full_budget) fmt id = run_many ?pool ~budget fmt [ id ]

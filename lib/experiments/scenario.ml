@@ -10,23 +10,15 @@ open Cmdliner
 
 (* {1 Registry} *)
 
-(* Database constructor and transaction mix per workload name. [tweak]
-   edits the engine profile before the database is built (the memory
-   budget). [tpcc] is Fig 6.12's configuration: one warehouse, year-to-date
-   updates skipped. *)
+(* Workload per name: the workloads of Figs 6.1, 6.7 and 6.12 (tpcc is one
+   warehouse, year-to-date updates skipped). *)
 let registry =
-  [
-    ( "smallbank",
-      fun tweak -> (Experiments.smallbank_db ~tweak (), Smallbank.mix ~customers:20_000 ()) );
-    ( "sibench",
-      fun tweak ->
-        ( Experiments.sibench_db ~config:(tweak (Core.Config.innodb ())) ~items:100 (),
-          Sibench.mix ~items:100 () ) );
-    ( "tpcc",
-      fun tweak ->
-        let scale = Tpcc.standard ~warehouses:1 in
-        (Experiments.tpcc_db ~tweak ~scale (), Tpcc.mix ~skip_ytd:true scale) );
-  ]
+  Experiments.
+    [
+      ("smallbank", fig6_1_workload);
+      ("sibench", fig6_7_workload);
+      ("tpcc", fig6_12_workload);
+    ]
 
 let isolations =
   Core.Types.[ ("si", Snapshot); ("ssi", Serializable); ("s2pl", S2pl); ("rc", Read_committed) ]
@@ -58,10 +50,13 @@ let driver_config ?seed t =
     seed = Option.value seed ~default:t.seed;
   }
 
-(* [make_db] and [mix] of a registered workload. *)
+(* [make_db] and [mix] of a registered workload, under the memory budget. *)
 let workload t =
   match List.assoc_opt t.workload registry with
-  | Some mk -> mk (fun c -> { c with Core.Config.memory_budget = t.memory_budget })
+  | Some w ->
+      let budget c = { c with Core.Config.memory_budget = t.memory_budget } in
+      let w = Experiments.with_config budget w in
+      (Experiments.make_db w, w.Experiments.mix)
   | None -> invalid_arg ("Scenario.workload: not a registered workload: " ^ t.workload)
 
 (* {1 Converters} *)
@@ -91,7 +86,7 @@ let choice names = Arg.enum (List.map (fun n -> (n, n)) names)
 
 let figure_id =
   let parse id =
-    if List.mem_assoc id Experiments.all_figures then Ok id
+    if Experiments.find_figure id <> None then Ok id
     else Error (Printf.sprintf "unknown experiment %s (see ssi_bench list)" id)
   in
   Arg.conv' ~docv:"ID" (parse, Format.pp_print_string)

@@ -2,7 +2,7 @@
    replay-based depth-first exploration with backtrack (source) sets and
    sleep sets over the engine's *observed* dependency relation.
 
-   Where `Interleave.sweep` executes every merge of the transaction scripts
+   Where {!sweep} executes every merge of the transaction scripts
    (the multinomial bound), the explorer executes one schedule, records the
    resources each scheduler turn actually touched (row versions, page
    stamps, gaps, lock-manager entries, doom flags — the footprint hook of
@@ -512,20 +512,44 @@ let explore ?config ?obs ?pool ?on_run ?init ?ro ~isolation (specs : Interleave.
   | None -> ());
   (SSet.elements w.digests, stats)
 
-(* {1 Full-enumeration digests and cross-validation} *)
+(* {1 Full enumeration and cross-validation} *)
 
-let sweep_digests ?config ?init ?ro ~isolation (specs : Interleave.spec list) : string list =
+type sweep = {
+  total : int;
+  all_committed : int; (* interleavings where every transaction committed *)
+  non_serializable : int; (* ... and the result was not serializable *)
+  unsafe_aborts : int; (* interleavings with at least one Unsafe abort *)
+  other_aborts : int;
+  digests : string list;
+}
+
+(* Run every interleaving of [specs] and summarise. Streams the
+   enumeration: memory stays constant in the number of schedules. *)
+let sweep ?config ?init ?ro ~isolation (specs : Interleave.spec list) : sweep =
   let config = match config with Some c -> c | None -> default_config () in
   let config = { config with Config.record_history = true } in
-  let digests =
-    Seq.fold_left
-      (fun acc order ->
-        let r = Interleave.run_interleaving ~config ?init ?ro ~isolation specs order in
-        SSet.add (outcome_digest r) acc)
-      SSet.empty
-      (Interleave.interleavings_seq specs)
-  in
-  SSet.elements digests
+  let total = ref 0 and all_committed = ref 0 and non_serializable = ref 0 in
+  let unsafe_aborts = ref 0 and other_aborts = ref 0 and digests = ref SSet.empty in
+  Seq.iter
+    (fun order ->
+      let r = Interleave.run_interleaving ~config ?init ?ro ~isolation specs order in
+      let count n b = if b then incr n in
+      let aborted p = List.exists (function Some a -> p a | None -> false) r.outcomes in
+      incr total;
+      count all_committed (List.for_all (( = ) None) r.outcomes);
+      count non_serializable (not r.serializable);
+      count unsafe_aborts (aborted (( = ) Types.Unsafe));
+      count other_aborts (aborted (( <> ) Types.Unsafe));
+      digests := SSet.add (outcome_digest r) !digests)
+    (Interleave.interleavings_seq specs);
+  {
+    total = !total;
+    all_committed = !all_committed;
+    non_serializable = !non_serializable;
+    unsafe_aborts = !unsafe_aborts;
+    other_aborts = !other_aborts;
+    digests = SSet.elements !digests;
+  }
 
 type validation = {
   v_match : bool;
@@ -536,5 +560,5 @@ type validation = {
 
 let cross_validate ?config ?pool ?init ?ro ~isolation specs =
   let v_dpor, v_stats = explore ?config ?pool ?init ?ro ~isolation specs in
-  let v_full = sweep_digests ?config ?init ?ro ~isolation specs in
+  let v_full = (sweep ?config ?init ?ro ~isolation specs).digests in
   { v_match = v_dpor = v_full; v_dpor; v_full; v_stats }

@@ -54,7 +54,7 @@ val needs_begin_marker : Core.Config.t -> bool
     Bounded-memory configurations ([memory_budget]) are outside the
     explorer's dependency model: SIREAD summarization keys off a global
     watermark, which makes footprint-disjoint turns non-commuting. Explore
-    them with {!Interleave.sweep} instead. *)
+    them with {!sweep} instead. *)
 val explore :
   ?config:Core.Config.t ->
   ?obs:Obs.t ->
@@ -66,15 +66,27 @@ val explore :
   Interleave.spec list ->
   string list * stats
 
-(** The ground truth: run {e every} interleaving and collect the distinct
-    outcome digests (sorted). Multinomial cost — small programs only. *)
-val sweep_digests :
+(** The ground truth: outcome counts and the sorted set of distinct
+    outcome digests over {e every} interleaving. *)
+type sweep = {
+  total : int;  (** interleavings run *)
+  all_committed : int;  (** every transaction committed *)
+  non_serializable : int;  (** the result was not serializable *)
+  unsafe_aborts : int;  (** at least one Unsafe abort *)
+  other_aborts : int;  (** at least one abort for another reason *)
+  digests : string list;
+}
+
+(** Run every interleaving ([record_history] forced on, [config] defaulting
+    as for {!explore}) and summarise. Multinomial cost — small programs
+    only. *)
+val sweep :
   ?config:Core.Config.t ->
   ?init:(string * string) list ->
   ?ro:bool list ->
   isolation:Core.Types.isolation ->
   Interleave.spec list ->
-  string list
+  sweep
 
 type validation = {
   v_match : bool;  (** digest sets identical *)
@@ -83,7 +95,7 @@ type validation = {
   v_stats : stats;
 }
 
-(** Run {!explore} and {!sweep_digests} on the same program and compare. *)
+(** Run {!explore} and {!sweep} on the same program and compare digests. *)
 val cross_validate :
   ?config:Core.Config.t ->
   ?pool:Par.t ->

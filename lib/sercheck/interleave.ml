@@ -432,43 +432,6 @@ let run_directed ?config ?obs ?init ?ro ?(begin_marker = false) ~isolation (spec
   in
   (result, List.rev !steps)
 
-type summary = {
-  total : int;
-  all_committed : int; (* interleavings where every transaction committed *)
-  non_serializable : int; (* ... and the result was not serializable *)
-  unsafe_aborts : int; (* interleavings with at least one Unsafe abort *)
-  other_aborts : int;
-}
-
-(* Run every interleaving of [specs] at [isolation] and summarise. Streams
-   the enumeration: memory stays constant in the number of schedules. *)
-let sweep ?config ~isolation specs =
-  let all = interleavings_seq specs in
-  Seq.fold_left
-    (fun acc order ->
-      let r = run_interleaving ?config ~isolation specs order in
-      let committed_all = List.for_all (( = ) None) r.outcomes in
-      {
-        total = acc.total + 1;
-        all_committed = (acc.all_committed + if committed_all then 1 else 0);
-        non_serializable =
-          (acc.non_serializable + if not r.serializable then 1 else 0);
-        unsafe_aborts =
-          (acc.unsafe_aborts
-          + if List.exists (( = ) (Some Types.Unsafe)) r.outcomes then 1 else 0);
-        other_aborts =
-          (acc.other_aborts
-          +
-          if
-            List.exists
-              (function Some r when r <> Types.Unsafe -> true | _ -> false)
-              r.outcomes
-          then 1
-          else 0);
-      })
-    { total = 0; all_committed = 0; non_serializable = 0; unsafe_aborts = 0; other_aborts = 0 }
-    all
-
 (* The paper's §4.7 test set: T1: r(x); T2: r(y) w(x); T3: w(y). Note that
    this set forms a *path* T1 -> T2 -> T3 in the dependency graph, never a
    cycle: every execution is serializable, but SSI still flags T2 as a pivot
@@ -506,7 +469,7 @@ let write_skew_spec_3 =
   [ [ R "x"; R "y"; W "x" ]; [ R "y"; R "z"; W "y" ]; [ R "z"; R "x"; W "z" ] ]
 
 (* The 4-cycle of the same shape: 12 ops, 12!/(3!)^4 = 369600 interleavings
-   — far past what `sweep` can execute in CI, the explorer's showcase. *)
+   — far past what `Explore.sweep` can execute in CI, the explorer's showcase. *)
 let write_skew_spec_4 =
   [
     [ R "a"; R "b"; W "a" ];

@@ -128,17 +128,6 @@ val run_directed :
   pick:(step:int -> enabled:int list -> steps:dstep list -> int) ->
   result * dstep list
 
-type summary = {
-  total : int;
-  all_committed : int;
-  non_serializable : int;
-  unsafe_aborts : int;
-  other_aborts : int;
-}
-
-(** Run every interleaving and summarise. *)
-val sweep : ?config:Core.Config.t -> isolation:Core.Types.isolation -> spec list -> summary
-
 (** The paper's §4.7 detection set: T1: r(x); T2: r(y) w(x); T3: w(y) —
     a dependency path, always serializable, but SSI must flag T2. *)
 val paper_spec : spec list

@@ -432,10 +432,10 @@ let test_ro_refinement_still_blocks_read_only_anomaly () =
   let config =
     { (Config.test ()) with Config.ro_refinement = true; record_history = true }
   in
-  let s = Interleave.sweep ~config ~isolation:Types.Serializable Interleave.read_only_anomaly_spec in
-  Alcotest.(check int) "no non-serializable execution" 0 s.Interleave.non_serializable;
-  let s_wskew = Interleave.sweep ~config ~isolation:Types.Serializable Interleave.write_skew_spec in
-  Alcotest.(check int) "write skew still blocked" 0 s_wskew.Interleave.non_serializable
+  let s = Explore.sweep ~config ~isolation:Types.Serializable Interleave.read_only_anomaly_spec in
+  Alcotest.(check int) "no non-serializable execution" 0 s.Explore.non_serializable;
+  let s_wskew = Explore.sweep ~config ~isolation:Types.Serializable Interleave.write_skew_spec in
+  Alcotest.(check int) "write skew still blocked" 0 s_wskew.Explore.non_serializable
 
 let test_ro_refinement_random_serializable () =
   for seed = 1 to 6 do

@@ -94,35 +94,35 @@ let test_paper_spec_detection () =
   (* The §4.7 set is a dependency *path* — always serializable — but SSI
      must still detect the consecutive conflicts on T2 in the concurrent
      interleavings. *)
-  let si = Interleave.sweep ~isolation:Snapshot Interleave.paper_spec in
-  Alcotest.(check int) "all interleavings commit under SI" si.Interleave.total
-    si.Interleave.all_committed;
+  let si = Explore.sweep ~isolation:Snapshot Interleave.paper_spec in
+  Alcotest.(check int) "all interleavings commit under SI" si.Explore.total
+    si.Explore.all_committed;
   Alcotest.(check int) "and all are serializable (path, not cycle)" 0
-    si.Interleave.non_serializable;
-  let ssi = Interleave.sweep ~isolation:Serializable Interleave.paper_spec in
-  Alcotest.(check int) "no non-serializable execution survives" 0 ssi.Interleave.non_serializable;
+    si.Explore.non_serializable;
+  let ssi = Explore.sweep ~isolation:Serializable Interleave.paper_spec in
+  Alcotest.(check int) "no non-serializable execution survives" 0 ssi.Explore.non_serializable;
   Alcotest.(check bool) "pivot conflicts detected in some interleavings" true
-    (ssi.Interleave.unsafe_aborts > 0);
+    (ssi.Explore.unsafe_aborts > 0);
   Alcotest.(check bool) "most interleavings commit" true
-    (ssi.Interleave.all_committed * 2 > ssi.Interleave.total)
+    (ssi.Explore.all_committed * 2 > ssi.Explore.total)
 
 let test_read_only_anomaly_spec_si_has_anomalies () =
-  let s = Interleave.sweep ~isolation:Snapshot Interleave.read_only_anomaly_spec in
-  Alcotest.(check int) "all interleavings commit under SI" s.Interleave.total
-    s.Interleave.all_committed;
+  let s = Explore.sweep ~isolation:Snapshot Interleave.read_only_anomaly_spec in
+  Alcotest.(check int) "all interleavings commit under SI" s.Explore.total
+    s.Explore.all_committed;
   Alcotest.(check bool) "some interleavings are non-serializable" true
-    (s.Interleave.non_serializable > 0);
-  let ssi = Interleave.sweep ~isolation:Serializable Interleave.read_only_anomaly_spec in
-  Alcotest.(check int) "SSI admits none" 0 ssi.Interleave.non_serializable;
-  Alcotest.(check bool) "SSI aborts something" true (ssi.Interleave.unsafe_aborts > 0)
+    (s.Explore.non_serializable > 0);
+  let ssi = Explore.sweep ~isolation:Serializable Interleave.read_only_anomaly_spec in
+  Alcotest.(check int) "SSI admits none" 0 ssi.Explore.non_serializable;
+  Alcotest.(check bool) "SSI aborts something" true (ssi.Explore.unsafe_aborts > 0)
 
 let test_write_skew_spec_sweep () =
-  let si = Interleave.sweep ~isolation:Snapshot Interleave.write_skew_spec in
-  Alcotest.(check bool) "SI: write skew appears" true (si.Interleave.non_serializable > 0);
-  let ssi = Interleave.sweep ~isolation:Serializable Interleave.write_skew_spec in
-  Alcotest.(check int) "SSI: never" 0 ssi.Interleave.non_serializable;
-  let s2pl = Interleave.sweep ~isolation:S2pl Interleave.write_skew_spec in
-  Alcotest.(check int) "S2PL: never" 0 s2pl.Interleave.non_serializable
+  let si = Explore.sweep ~isolation:Snapshot Interleave.write_skew_spec in
+  Alcotest.(check bool) "SI: write skew appears" true (si.Explore.non_serializable > 0);
+  let ssi = Explore.sweep ~isolation:Serializable Interleave.write_skew_spec in
+  Alcotest.(check int) "SSI: never" 0 ssi.Explore.non_serializable;
+  let s2pl = Explore.sweep ~isolation:S2pl Interleave.write_skew_spec in
+  Alcotest.(check int) "S2PL: never" 0 s2pl.Explore.non_serializable
 
 let test_si_cycles_satisfy_theorem2 () =
   (* Every non-serializable SI interleaving exhibits the dangerous
@@ -142,12 +142,12 @@ let test_basic_mode_more_aborts_than_precise () =
     let config =
       { (Config.test ()) with Config.ssi = variant; Config.record_history = true }
     in
-    Interleave.sweep ~config ~isolation:Serializable Interleave.paper_spec
+    Explore.sweep ~config ~isolation:Serializable Interleave.paper_spec
   in
   let basic = sweep Config.Basic and precise = sweep Config.Precise in
-  Alcotest.(check int) "basic also admits no anomaly" 0 basic.Interleave.non_serializable;
+  Alcotest.(check int) "basic also admits no anomaly" 0 basic.Explore.non_serializable;
   Alcotest.(check bool) "precise never aborts more than basic" true
-    (precise.Interleave.unsafe_aborts <= basic.Interleave.unsafe_aborts)
+    (precise.Explore.unsafe_aborts <= basic.Explore.unsafe_aborts)
 
 let matrix_config ~gran ~variant =
   {
@@ -173,7 +173,7 @@ let test_sweep_matrix_granularity_variant () =
      what enumerating 180–2520 schedules per cell used to cover; the
      Basic-vs-Precise abort comparison lives in
      [test_basic_mode_more_aborts_than_precise] (it needs the identical
-     schedule set per variant that only [Interleave.sweep] guarantees). *)
+     schedule set per variant that only [Explore.sweep] guarantees). *)
   let specs =
     [
       ("paper", Interleave.paper_spec);
