@@ -290,6 +290,32 @@ let obs_overhead ~quick =
     measure "commit-path-sketch" (1000 * s) bench_commit_path_sketch;
   ]
 
+(* {1 Allocation gate}
+
+   The deterministic side of "zero cost when off": minor-heap words each
+   commit-path transaction and each lock-manager acquire/upgrade/release
+   cycle allocate with no sink installed. A single-domain simulated run
+   allocates exactly the same words on every run of the same binary, so
+   tools/check_bench.sh compares these against tools/bench_baseline.json
+   with no tolerance. An observability call that builds its event (or boxes
+   its timestamp) before checking the sink shows up here even though the
+   wall-clock A/B above cannot see it: both of its sides pay for it. The
+   value is the marginal cost of 1000 more runs, so table setup cancels. *)
+
+let minor_words_per_run (f : int -> unit -> float) =
+  let words runs =
+    let w0 = Gc.minor_words () in
+    ignore (f runs ());
+    Gc.minor_words () -. w0
+  in
+  (words 2000 -. words 1000) /. 1000.0
+
+let alloc_probe () =
+  [
+    ("commit-path", minor_words_per_run bench_commit_path);
+    ("lock-acquire-release", minor_words_per_run bench_lock_path);
+  ]
+
 (* {1 Timeline probe}
 
    Deterministic checks for the windowed-telemetry layer, same contract as
@@ -622,7 +648,7 @@ let sweep ~quick =
 
 (* One bench object per line, so the baseline comparison (here and in
    tools/check_bench.sh) can parse without a JSON library. *)
-let emit_json oc ~quick entries sweep_points ab_entries tp mp rv xp ap =
+let emit_json oc ~quick entries sweep_points ab_entries alloc tp mp rv xp ap =
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"schema\": \"ssi-bench/1\",\n";
   Printf.fprintf oc "  \"quick\": %b,\n" quick;
@@ -656,6 +682,16 @@ let emit_json oc ~quick entries sweep_points ab_entries tp mp rv xp ap =
         a.ab_name a.ab_runs a.ab_off a.ab_null a.ab_delta_pct
         (if i = k - 1 then "" else ","))
     ab_entries;
+  Printf.fprintf oc "  ],\n";
+  (* Deterministic allocation per run with no sink (one object per line;
+     "loop" rather than "name" keeps [parse_baseline] off these lines). *)
+  Printf.fprintf oc "  \"alloc\": [\n";
+  let na = List.length alloc in
+  List.iteri
+    (fun i (loop, words) ->
+      Printf.fprintf oc "    {\"loop\": \"%s\", \"minor_words_per_run\": %.3f}%s\n" loop words
+        (if i = na - 1 then "" else ","))
+    alloc;
   Printf.fprintf oc "  ],\n";
   (* Timeline probe: deterministic commit/abort/window/wasted-work checks
      plus the conservation verdict and the wall cost of one build (one
@@ -783,6 +819,9 @@ let run quick out baseline max_regress =
       Printf.printf "    %-22s %8.3fs vs %8.3fs  delta %+.2f%%\n%!" a.ab_name a.ab_off a.ab_null
         a.ab_delta_pct)
     ab;
+  print_endline "  allocation (minor words per run, no sink installed, deterministic):";
+  let alloc = alloc_probe () in
+  List.iter (fun (loop, words) -> Printf.printf "    %-22s %10.3f words\n%!" loop words) alloc;
   print_endline "  timeline probe (traced contended run, deterministic checks):";
   let tp = timeline_probe ~quick in
   Printf.printf
@@ -819,7 +858,7 @@ let run quick out baseline max_regress =
   Printf.printf "    %d updates  %d tracked  overcount<=%d  blame %d  %.1f ns/update\n%!"
     ap.at_updates ap.at_tracked ap.at_error_bound ap.at_blame ap.at_update_ns;
   let oc = open_out out in
-  emit_json oc ~quick entries sw ab tp mp rv xp ap;
+  emit_json oc ~quick entries sw ab alloc tp mp rv xp ap;
   close_out oc;
   Printf.printf "  wrote %s\n" out;
   match baseline with

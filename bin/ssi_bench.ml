@@ -222,7 +222,7 @@ let timeline_cmd =
   let slo_arg =
     Arg.(
       value
-      & opt (some (pair float float)) None
+      & opt (some (pair Scenario.nonneg_float Scenario.pos_float)) None
       & info [ "slo" ] ~docv:"RATE,P95"
           ~doc:
             "Evaluate per-class SLOs: max error aborts per completed transaction and max p95 \

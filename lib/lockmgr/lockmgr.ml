@@ -581,13 +581,12 @@ let acquire t ~owner ~mode resource =
            (Obs.Span_e { tid = owner; name = "lock-wait"; cat = "lock" });
        raise e);
     (* When woken normally the grant was already performed by grant_waiters. *)
-    let waited = Sim.now t.sim -. blocked_at in
-    Obs.record_lock_wait t.obs waited;
-    Obs.attrib_lock_wait t.obs resource waited;
-    if Obs.tracing t.obs then begin
-      Obs.emit t.obs ~ts:(Sim.now t.sim)
-        (Obs.Span_e { tid = owner; name = "lock-wait"; cat = "lock" });
-      Obs.emit t.obs ~ts:(Sim.now t.sim)
+    if Obs.enabled t.obs then begin
+      let now = Sim.now t.sim in
+      if Obs.tracing t.obs then
+        Obs.emit t.obs ~ts:now (Obs.Span_e { tid = owner; name = "lock-wait"; cat = "lock" });
+      let waited = now -. blocked_at in
+      Obs.emit t.obs ~ts:now
         (Obs.Lock_grant { owner; mode = mode_to_string mode; resource; waited })
     end
   end

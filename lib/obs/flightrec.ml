@@ -75,7 +75,7 @@ let trigger_of_string spec =
   | [ "slo" ] -> Ok (Slo_violation { Timeline.slo_abort_rate = 0.5; slo_p95 = 0.1 })
   | [ "slo"; rate; p95 ] -> (
       match (float_of_string_opt rate, float_of_string_opt p95) with
-      | Some r, Some p when r >= 0.0 && p > 0.0 ->
+      | Some r, Some p when Float.is_finite r && Float.is_finite p && r >= 0.0 && p > 0.0 ->
           Ok (Slo_violation { Timeline.slo_abort_rate = r; slo_p95 = p })
       | _ -> Error (Printf.sprintf "bad slo spec: %s" spec))
   | [ "regime" ] -> Ok (Regime "throughput")

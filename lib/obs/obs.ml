@@ -1,12 +1,15 @@
-(* Observability subsystem: a structured event sink with a Chrome-trace
-   exporter, plus low-overhead metrics (log-bucket latency histograms and
-   conflict-source counters).
+(* Observability subsystem: one typed event per engine fact, folded by
+   [emit] into whatever the sink has switched on: low-overhead metrics
+   (log-bucket latency histograms, conflict-source counters, high-water
+   marks), the per-resource attribution sketch, and a trace buffer with a
+   Chrome-trace exporter.
 
    Design constraints (see DESIGN.md "Observability"):
 
-   - Zero overhead when off. Every hot-path call site guards with
-     [tracing]/[metrics_on] (single mutable-field loads) before building any
-     event or computing any latency, so a disabled [t] costs one branch.
+   - Zero overhead when off. Every call site guards with [enabled] (a fact
+     that feeds a fold) or [tracing] (a trace-only event), each one field
+     load, before building the event or reading the clock, so a disabled
+     [t] costs one branch and allocates nothing.
 
    - Determinism. Events and metrics derive only from simulated time,
      transaction ids and resource names. Recording them never touches the
@@ -237,10 +240,6 @@ type metrics = {
   mutable m_budget_pressure : int; (* commits that triggered summarization *)
   mutable m_checkpoints : int; (* WAL checkpoint records hardened *)
   mutable m_replayed : int; (* log records replayed by recovery *)
-  mutable m_explored : int; (* schedules the DPOR explorer executed *)
-  mutable m_explore_bound : int; (* sum of the multinomial bounds *)
-  mutable m_backtracks : int; (* backtrack points added by race analysis *)
-  mutable m_sleep_hits : int; (* candidates suppressed by a sleep set *)
 }
 
 let metrics_create () =
@@ -268,10 +267,6 @@ let metrics_create () =
     m_budget_pressure = 0;
     m_checkpoints = 0;
     m_replayed = 0;
-    m_explored = 0;
-    m_explore_bound = 0;
-    m_backtracks = 0;
-    m_sleep_hits = 0;
   }
 
 let metrics_copy m =
@@ -308,11 +303,7 @@ let metrics_merge ~into m =
   if m.m_summary_hwm > into.m_summary_hwm then into.m_summary_hwm <- m.m_summary_hwm;
   into.m_budget_pressure <- into.m_budget_pressure + m.m_budget_pressure;
   into.m_checkpoints <- into.m_checkpoints + m.m_checkpoints;
-  into.m_replayed <- into.m_replayed + m.m_replayed;
-  into.m_explored <- into.m_explored + m.m_explored;
-  into.m_explore_bound <- into.m_explore_bound + m.m_explore_bound;
-  into.m_backtracks <- into.m_backtracks + m.m_backtracks;
-  into.m_sleep_hits <- into.m_sleep_hits + m.m_sleep_hits
+  into.m_replayed <- into.m_replayed + m.m_replayed
 
 let conflict_sources m =
   [
@@ -357,11 +348,7 @@ let pp_metrics fmt m =
       m.m_promotions m.m_summarized m.m_summary_hwm m.m_budget_pressure;
   if m.m_checkpoints + m.m_replayed > 0 then
     Format.fprintf fmt "durability:     checkpoints=%d replayed-records=%d@." m.m_checkpoints
-      m.m_replayed;
-  if m.m_explored > 0 then
-    Format.fprintf fmt
-      "exploration:    schedules=%d bound=%d backtracks=%d sleep-hits=%d@." m.m_explored
-      m.m_explore_bound m.m_backtracks m.m_sleep_hits
+      m.m_replayed
 
 (* {1 Events} *)
 
@@ -375,14 +362,14 @@ type event =
   | Lock_release_all of { owner : int; kept_siread : bool }
   | Deadlock of { victim : int; resource : string }
   | Wal_flush of { epoch : int; latency : float; queued : int }
-  | Conflict_edge of { reader : int; writer : int; source : conflict_source }
+  | Conflict_edge of { reader : int; writer : int; source : conflict_source; resource : string }
   | Victim_doomed of { victim : int; by : int; reason : string }
   | Cleanup of { released : int; retained : int }
   (* Bounded-memory mode (Config.memory_budget): a row->page SIREAD
      granularity promotion, and a budget-pressure summarization pass folding
      the oldest retained committed txns into the summary table. *)
-  | Promotion of { txn : int; table : string; page : int; rows : int }
-  | Summarize of { txns : int; entries : int; retained : int }
+  | Promotion of { txn : int; table : string; page : int; rows : int; resource : string }
+  | Summarize of { txns : int; entries : int; retained : int; summary : int }
   (* Profiler spans (Chrome-trace "B"/"E" duration events). The engine opens
      a [txn] span at begin, nests a [span] per lock wait and log flush, and
      closes the txn span at commit/abort. Pairing is by (tid, nesting). *)
@@ -408,10 +395,21 @@ type event =
      abort-reason string) and the attempt's response time. Feeds per-class
      SLO accounting in the timeline layer. *)
   | Class_outcome of { cls : string; outcome : string; latency : float }
+  (* Fold-only facts: they feed the metrics and the sketch but never the
+     trace buffer (see [traced]). A SIREAD grant with the grantee's count
+     and the live lock-table entries after it; the retained committed
+     records by kind as a commit appends itself; one resource folded into
+     the summary table; the resource a first-committer-wins abort was
+     blocked on. *)
+  | Siread_grant of { resource : string; held : int; live : int }
+  | Retained of { siread : int; record : int }
+  | Summary_fold of { resource : string }
+  | Fcw_blocked of { resource : string }
 
 type t = {
   t_tracing : bool;
   t_metrics : bool;
+  t_on : bool; (* trace, metrics or sketch: some fold of [emit] is live *)
   t_prov : bool;
   t_sketch : Sketch.t option; (* per-resource attribution sketch *)
   mutable t_events : (float * event) list; (* newest first *)
@@ -422,14 +420,15 @@ type t = {
 }
 
 let create ?(trace = false) ?(metrics = true) ?(provenance = false) ?sketch () =
+  let t_sketch =
+    match sketch with Some cap when cap > 0 -> Some (Sketch.create ~capacity:cap) | _ -> None
+  in
   {
     t_tracing = trace;
     t_metrics = metrics;
+    t_on = trace || metrics || t_sketch <> None;
     t_prov = provenance;
-    t_sketch =
-      (match sketch with
-      | Some cap when cap > 0 -> Some (Sketch.create ~capacity:cap)
-      | _ -> None);
+    t_sketch;
     t_events = [];
     t_event_count = 0;
     t_certs = [];
@@ -441,15 +440,11 @@ let disabled = create ~trace:false ~metrics:false ()
 
 let tracing t = t.t_tracing [@@inline]
 
-let metrics_on t = t.t_metrics [@@inline]
+let enabled t = t.t_on [@@inline]
 
 let provenance_on t = t.t_prov [@@inline]
 
 let sketch t = t.t_sketch [@@inline]
-
-let sketch_on t = t.t_sketch <> None [@@inline]
-
-let enabled t = t.t_tracing || t.t_metrics || t.t_prov || t.t_sketch <> None
 
 let add_cert t c =
   if t.t_prov then begin
@@ -461,8 +456,92 @@ let cert_count t = t.t_cert_count
 
 let certs t = List.rev t.t_certs
 
+(* {2 The folds of [emit]}
+
+   One engine fact, one event. The metrics fold keeps the counters,
+   latency histograms and high-water marks; the sketch fold credits the
+   fact's resource; the trace keeps the event itself. Every fold reads only
+   fields of the event, so the engine's behaviour is byte-identical whatever
+   the sink has switched on. *)
+
+let fold_metrics m ~ts = function
+  | Txn_commit { start; _ } -> hist_add m.m_commit_latency (ts -. start)
+  | Txn_abort { start; _ } -> hist_add m.m_abort_latency (ts -. start)
+  | Lock_grant { waited; _ } -> hist_add m.m_lock_wait waited
+  | Conflict_edge { source = Newer_version; _ } ->
+      m.m_conflict_newer_version <- m.m_conflict_newer_version + 1
+  | Conflict_edge { source = Siread_vs_x; _ } ->
+      m.m_conflict_siread_x <- m.m_conflict_siread_x + 1
+  | Conflict_edge { source = Page_stamp; _ } ->
+      m.m_conflict_page_stamp <- m.m_conflict_page_stamp + 1
+  | Conflict_edge { source = Gap; _ } -> m.m_conflict_gap <- m.m_conflict_gap + 1
+  | Conflict_edge { source = Unknown_writer; _ } ->
+      m.m_conflict_unknown <- m.m_conflict_unknown + 1
+  | Victim_doomed _ -> m.m_doomed <- m.m_doomed + 1
+  | Wal_flush _ -> m.m_wal_flushes <- m.m_wal_flushes + 1
+  | Cleanup { released; _ } ->
+      (* The post-cleanup count never exceeds what [Retained] saw when the
+         newest record was appended, so cleanup leaves the marks alone. *)
+      if released > 0 then begin
+        m.m_cleanup_runs <- m.m_cleanup_runs + 1;
+        m.m_cleanup_released <- m.m_cleanup_released + released
+      end
+  | Promotion _ -> m.m_promotions <- m.m_promotions + 1
+  | Summarize { txns; summary; _ } ->
+      m.m_budget_pressure <- m.m_budget_pressure + 1;
+      m.m_summarized <- m.m_summarized + txns;
+      m.m_summary_hwm <- Int.max m.m_summary_hwm summary
+  | Wal_checkpoint _ -> m.m_checkpoints <- m.m_checkpoints + 1
+  | Recovery { replayed; _ } -> m.m_replayed <- m.m_replayed + replayed
+  | Siread_grant { held; live; _ } ->
+      m.m_siread_hwm <- Int.max m.m_siread_hwm held;
+      m.m_siread_live_hwm <- Int.max m.m_siread_live_hwm live
+  | Retained { siread; record } ->
+      m.m_retained_hwm <- Int.max m.m_retained_hwm (siread + record);
+      m.m_retained_siread_hwm <- Int.max m.m_retained_siread_hwm siread;
+      m.m_retained_record_hwm <- Int.max m.m_retained_record_hwm record
+  | Txn_begin _ | Lock_acquire _ | Lock_block _ | Lock_release_all _ | Deadlock _
+  | Crash_inject _ | Span_b _ | Span_e _ | Res_sample _ | Mem_sample _ | Class_outcome _
+  | Summary_fold _ | Fcw_blocked _ ->
+      ()
+
+(* Per-resource attribution. A touch costs a hash lookup plus a counter
+   bump; the eviction scan runs only when the sketch is full and the key
+   untracked. First-committer-wins blocks are blamed live, unlike the pivot
+   in/out-edge blame that Attrib folds from certificates after the run. *)
+let fold_sketch sk = function
+  | Conflict_edge { resource; _ } ->
+      let s = Sketch.touch sk resource in
+      s.Sketch.st_conflicts <- s.Sketch.st_conflicts + 1
+  | Lock_grant { resource; waited; _ } ->
+      let s = Sketch.touch sk resource in
+      s.Sketch.st_lock_waits <- s.Sketch.st_lock_waits + 1;
+      s.Sketch.st_lock_wait <- s.Sketch.st_lock_wait +. waited
+  | Siread_grant { resource; _ } ->
+      let s = Sketch.touch sk resource in
+      s.Sketch.st_siread <- s.Sketch.st_siread + 1
+  | Fcw_blocked { resource } ->
+      let s = Sketch.touch sk resource in
+      s.Sketch.st_blame_fcw <- s.Sketch.st_blame_fcw + 1
+  | Promotion { resource; _ } ->
+      let s = Sketch.touch sk resource in
+      s.Sketch.st_promotions <- s.Sketch.st_promotions + 1
+  | Summary_fold { resource } ->
+      let s = Sketch.touch sk resource in
+      s.Sketch.st_summarized <- s.Sketch.st_summarized + 1
+  | _ -> ()
+
+(* The fold-only facts stay out of the trace buffer: the Chrome trace,
+   [event_count], the flight-recorder ring and the timeline are built from
+   trace events only, and the exporter has no rendering for these. *)
+let traced = function
+  | Siread_grant _ | Retained _ | Summary_fold _ | Fcw_blocked _ -> false
+  | _ -> true
+
 let emit t ~ts e =
-  if t.t_tracing then begin
+  if t.t_metrics then fold_metrics t.t_m ~ts e;
+  (match t.t_sketch with Some sk -> fold_sketch sk e | None -> ());
+  if t.t_tracing && traced e then begin
     t.t_events <- (ts, e) :: t.t_events;
     t.t_event_count <- t.t_event_count + 1
   end
@@ -474,132 +553,6 @@ let events t = List.rev t.t_events
 let metrics t = t.t_m
 
 let metrics_snapshot t = metrics_copy t.t_m
-
-(* {2 Metric recorders} — each checks [t_metrics] so call sites may skip the
-   guard when no argument computation is needed. *)
-
-let record_commit t ~latency = if t.t_metrics then hist_add t.t_m.m_commit_latency latency
-
-let record_abort t ~latency = if t.t_metrics then hist_add t.t_m.m_abort_latency latency
-
-let record_lock_wait t w = if t.t_metrics then hist_add t.t_m.m_lock_wait w
-
-let record_conflict t source =
-  if t.t_metrics then
-    match source with
-    | Newer_version -> t.t_m.m_conflict_newer_version <- t.t_m.m_conflict_newer_version + 1
-    | Siread_vs_x -> t.t_m.m_conflict_siread_x <- t.t_m.m_conflict_siread_x + 1
-    | Page_stamp -> t.t_m.m_conflict_page_stamp <- t.t_m.m_conflict_page_stamp + 1
-    | Gap -> t.t_m.m_conflict_gap <- t.t_m.m_conflict_gap + 1
-    | Unknown_writer -> t.t_m.m_conflict_unknown <- t.t_m.m_conflict_unknown + 1
-
-let record_doomed t = if t.t_metrics then t.t_m.m_doomed <- t.t_m.m_doomed + 1
-
-let record_wal_flush t = if t.t_metrics then t.t_m.m_wal_flushes <- t.t_m.m_wal_flushes + 1
-
-(* [retained] is the post-cleanup queue length; it can never exceed the
-   value {!note_retained} saw when the newest entry was appended, so this
-   recorder no longer advances the high-water mark (it used to, which
-   double-counted the probe: the mark moved both when a record was added and
-   again when its neighbours were cleaned). *)
-let record_cleanup t ~released ~retained:_ =
-  if t.t_metrics && released > 0 then begin
-    t.t_m.m_cleanup_runs <- t.t_m.m_cleanup_runs + 1;
-    t.t_m.m_cleanup_released <- t.t_m.m_cleanup_released + released
-  end
-
-let note_siread t n =
-  if t.t_metrics && n > t.t_m.m_siread_hwm then t.t_m.m_siread_hwm <- n
-
-let note_retained t ~siread ~record =
-  if t.t_metrics then begin
-    let m = t.t_m in
-    if siread + record > m.m_retained_hwm then m.m_retained_hwm <- siread + record;
-    if siread > m.m_retained_siread_hwm then m.m_retained_siread_hwm <- siread;
-    if record > m.m_retained_record_hwm then m.m_retained_record_hwm <- record
-  end
-
-let note_siread_live t n =
-  if t.t_metrics && n > t.t_m.m_siread_live_hwm then t.t_m.m_siread_live_hwm <- n
-
-let record_promotion t = if t.t_metrics then t.t_m.m_promotions <- t.t_m.m_promotions + 1
-
-let record_summarized t ~txns =
-  if t.t_metrics then t.t_m.m_summarized <- t.t_m.m_summarized + txns
-
-let note_summary t n =
-  if t.t_metrics && n > t.t_m.m_summary_hwm then t.t_m.m_summary_hwm <- n
-
-let record_explored t ~schedules ~bound =
-  if t.t_metrics then begin
-    t.t_m.m_explored <- t.t_m.m_explored + schedules;
-    t.t_m.m_explore_bound <- t.t_m.m_explore_bound + bound
-  end
-
-let record_backtracks t ~n = if t.t_metrics then t.t_m.m_backtracks <- t.t_m.m_backtracks + n
-
-let record_sleep_hits t ~n = if t.t_metrics then t.t_m.m_sleep_hits <- t.t_m.m_sleep_hits + n
-
-let record_budget_pressure t =
-  if t.t_metrics then t.t_m.m_budget_pressure <- t.t_m.m_budget_pressure + 1
-
-let record_checkpoint t = if t.t_metrics then t.t_m.m_checkpoints <- t.t_m.m_checkpoints + 1
-
-let record_replayed t ~n = if t.t_metrics then t.t_m.m_replayed <- t.t_m.m_replayed + n
-
-(* {2 Attribution recorders} — feed the per-resource space-saving sketch.
-   Each is one branch when no sketch is installed; with one installed the
-   cost is a hash lookup plus a counter bump (the eviction scan runs only
-   when the sketch is full AND the key untracked). Like every recorder,
-   these derive only from resource names and sim-time values already in the
-   caller's hands, so the engine's behaviour is byte-identical with the
-   sketch on or off. *)
-
-let attrib_conflict t resource =
-  match t.t_sketch with
-  | None -> ()
-  | Some sk ->
-      let s = Sketch.touch sk resource in
-      s.Sketch.st_conflicts <- s.Sketch.st_conflicts + 1
-
-let attrib_lock_wait t resource waited =
-  match t.t_sketch with
-  | None -> ()
-  | Some sk ->
-      let s = Sketch.touch sk resource in
-      s.Sketch.st_lock_waits <- s.Sketch.st_lock_waits + 1;
-      s.Sketch.st_lock_wait <- s.Sketch.st_lock_wait +. waited
-
-let attrib_siread t resource =
-  match t.t_sketch with
-  | None -> ()
-  | Some sk ->
-      let s = Sketch.touch sk resource in
-      s.Sketch.st_siread <- s.Sketch.st_siread + 1
-
-(* First-committer-wins blocks are blamed live (the blocking resource is in
-   hand at the abort site and needs no certificate), unlike the pivot
-   in/out-edge blame which Attrib folds from certificates post-run. *)
-let attrib_fcw t resource =
-  match t.t_sketch with
-  | None -> ()
-  | Some sk ->
-      let s = Sketch.touch sk resource in
-      s.Sketch.st_blame_fcw <- s.Sketch.st_blame_fcw + 1
-
-let attrib_promotion t resource =
-  match t.t_sketch with
-  | None -> ()
-  | Some sk ->
-      let s = Sketch.touch sk resource in
-      s.Sketch.st_promotions <- s.Sketch.st_promotions + 1
-
-let attrib_summarized t resource =
-  match t.t_sketch with
-  | None -> ()
-  | Some sk ->
-      let s = Sketch.touch sk resource in
-      s.Sketch.st_summarized <- s.Sketch.st_summarized + 1
 
 (* {1 Chrome-trace export}
 
@@ -765,7 +718,7 @@ let event_to_buf buf (ts, e) =
   | Wal_flush { epoch; latency; queued } ->
       trace_record buf ~name:"flush" ~cat:"wal" ~ph:"X" ~ts:(ts -. latency) ~dur:latency ~tid:0
         [ ("epoch", string_of_int epoch); ("queued", string_of_int queued) ]
-  | Conflict_edge { reader; writer; source } ->
+  | Conflict_edge { reader; writer; source; _ } ->
       trace_record buf ~name:"rw-edge" ~cat:"ssi" ~ph:"i" ~ts ~tid:reader
         [ ("writer", string_of_int writer); ("source", str (conflict_source_to_string source)) ]
   | Victim_doomed { victim; by; reason } ->
@@ -774,10 +727,10 @@ let event_to_buf buf (ts, e) =
   | Cleanup { released; retained } ->
       trace_record buf ~name:"cleanup" ~cat:"gc" ~ph:"i" ~ts ~tid:0
         [ ("released", string_of_int released); ("retained", string_of_int retained) ]
-  | Promotion { txn; table; page; rows } ->
+  | Promotion { txn; table; page; rows; _ } ->
       trace_record buf ~name:"promotion" ~cat:"budget" ~ph:"i" ~ts ~tid:txn
         [ ("table", str table); ("page", string_of_int page); ("rows", string_of_int rows) ]
-  | Summarize { txns; entries; retained } ->
+  | Summarize { txns; entries; retained; _ } ->
       trace_record buf ~name:"summarize" ~cat:"budget" ~ph:"i" ~ts ~tid:0
         [ ("txns", string_of_int txns); ("entries", string_of_int entries);
           ("retained", string_of_int retained) ]
@@ -805,6 +758,8 @@ let event_to_buf buf (ts, e) =
   | Class_outcome { cls; outcome; latency } ->
       trace_record buf ~name:("class:" ^ cls) ~cat:"driver" ~ph:"i" ~ts ~tid:0
         [ ("outcome", str outcome); ("latency", Printf.sprintf "%.9f" latency) ]
+  | Siread_grant _ | Retained _ | Summary_fold _ | Fcw_blocked _ ->
+      invalid_arg "Obs.event_to_buf: fold-only event"
 
 (* Render one Chrome-trace counter ("C") record — the form the timeline
    layer uses to append its per-window series to a trace file, so spans,

@@ -1,12 +1,24 @@
-(** Observability: structured engine events with a Chrome-trace exporter,
-    plus allocation-free metrics (log-bucket latency histograms, conflict
-    counters, high-water marks).
+(** Observability: one typed {!event} per engine fact, recorded through the
+    single entry point {!emit}.
+
+    [emit] folds the event into whatever the sink has switched on: the
+    metrics (log-bucket latency histograms, conflict counters, high-water
+    marks), the per-resource attribution {!Sketch.t}, and the trace buffer
+    behind the Chrome-trace exporter. A few facts exist only for the folds
+    (SIREAD grants, retained-record counts, summary folds, first-committer
+    blocks); a [traced] predicate keeps them out of the trace buffer, so the
+    trace, {!event_count} and everything built on {!events} see only the
+    trace events.
+
+    Guard rule: a call site guards with {!enabled} when its fact feeds a
+    fold, or with {!tracing} when the event is trace-only, and does so
+    before building the event or reading the simulated clock (a float passed
+    to [emit] is boxed). A disabled sink then costs one branch and allocates
+    nothing.
 
     Everything recorded derives only from simulated time, transaction ids
     and resource names; recording never touches the simulator or any RNG, so
-    benchmark results are byte-identical with tracing on or off. Hot-path
-    call sites must guard with {!tracing}/{!metrics_on} before building
-    events, making a disabled sink cost a single branch. *)
+    benchmark results are byte-identical whatever the sink records. *)
 
 (** {1 Conflict-edge sources} *)
 
@@ -163,10 +175,6 @@ type metrics = {
   mutable m_budget_pressure : int;  (** commits that triggered summarization *)
   mutable m_checkpoints : int;  (** WAL checkpoint records hardened *)
   mutable m_replayed : int;  (** log records replayed by recovery *)
-  mutable m_explored : int;  (** schedules the DPOR explorer executed *)
-  mutable m_explore_bound : int;  (** sum of the multinomial bounds *)
-  mutable m_backtracks : int;  (** backtrack points added by race analysis *)
-  mutable m_sleep_hits : int;  (** candidates suppressed by a sleep set *)
 }
 
 val metrics_create : unit -> metrics
@@ -195,15 +203,17 @@ type event =
   | Wal_flush of { epoch : int; latency : float; queued : int }
       (** group-commit flush completion; [queued] is the number of records
           still pending (later epochs) when the flush hardened *)
-  | Conflict_edge of { reader : int; writer : int; source : conflict_source }
+  | Conflict_edge of { reader : int; writer : int; source : conflict_source; resource : string }
+      (** an rw-antidependency detected on [resource] (not exported) *)
   | Victim_doomed of { victim : int; by : int; reason : string }
   | Cleanup of { released : int; retained : int }
-  | Promotion of { txn : int; table : string; page : int; rows : int }
+  | Promotion of { txn : int; table : string; page : int; rows : int; resource : string }
       (** bounded-memory mode: [rows] row SIREADs on [page] collapsed into
-          one page SIREAD *)
-  | Summarize of { txns : int; entries : int; retained : int }
+          one page SIREAD on [resource] (not exported) *)
+  | Summarize of { txns : int; entries : int; retained : int; summary : int }
       (** bounded-memory mode: a budget-pressure pass folded [txns] retained
-          committed txns into [entries] summary-table records *)
+          committed txns into [entries] summary-table records, leaving a
+          [summary]-entry table (not exported) *)
   | Wal_checkpoint of { epoch : int; watermark : int; next_ts : int }
       (** a checkpoint record was hardened: [watermark] is the oldest active
           snapshot, [next_ts] the commit-ts allocator at checkpoint time *)
@@ -225,6 +235,18 @@ type event =
       (** workload-driver outcome of one transaction attempt: program
           (class) name, outcome (["commit"], ["user-abort"], or an
           abort-reason string) and response time *)
+  | Siread_grant of { resource : string; held : int; live : int }
+      (** fold-only: a SIREAD lock granted on [resource]; the grantee now
+          holds [held] and the lock table [live] SIREAD entries *)
+  | Retained of { siread : int; record : int }
+      (** fold-only: retained committed txns by kind (still holding
+          SIREADs / plain records) as a commit appends itself *)
+  | Summary_fold of { resource : string }
+      (** fold-only: a summarization pass folded [resource]'s SIREADs into
+          its summary entry *)
+  | Fcw_blocked of { resource : string }
+      (** fold-only: a first-committer-wins abort was blocked by a version
+          or page stamp on [resource] *)
 
 (** {1 The sink} *)
 
@@ -235,25 +257,24 @@ type t
     counters/histograms; [provenance] makes the engine record per-edge
     conflict detail and attach a {!certificate} to every abort; [sketch]
     (a capacity, 0 or absent = off) installs a per-resource attribution
-    {!Sketch.t} fed by the [attrib_*] recorders. Defaults: trace off,
-    metrics on, provenance off, sketch off. *)
+    {!Sketch.t} fed by {!emit}. Defaults: trace off, metrics on, provenance
+    off, sketch off. *)
 val create : ?trace:bool -> ?metrics:bool -> ?provenance:bool -> ?sketch:int -> unit -> t
 
 (** A shared, permanently-off sink; the default carried by a database. *)
 val disabled : t
 
+(** The trace buffer is on: the guard for trace-only events. *)
 val tracing : t -> bool
 
-val metrics_on : t -> bool
+(** Some fold of {!emit} is on (trace, metrics or sketch), precomputed at
+    {!create}: the guard for facts that feed a fold. *)
+val enabled : t -> bool
 
 val provenance_on : t -> bool
 
 (** The attribution sketch, when one was installed at {!create}. *)
 val sketch : t -> Sketch.t option
-
-val sketch_on : t -> bool
-
-val enabled : t -> bool
 
 (** Append a certificate. No-op unless {!provenance_on}. *)
 val add_cert : t -> certificate -> unit
@@ -266,8 +287,10 @@ val certs : t -> certificate list
 (** Certificates as JSON, one object per line. *)
 val write_certs : out_channel -> t -> unit
 
-(** Append an event at simulated time [ts]. No-op unless {!tracing}; call
-    sites should still guard to avoid building the event. *)
+(** Record one engine fact at simulated time [ts]: fold it into the
+    metrics (when on) and the sketch (when installed), and append it to the
+    trace buffer when {!tracing} and the event is not fold-only. The only
+    recording entry point; callers guard it (see the guard rule above). *)
 val emit : t -> ts:float -> event -> unit
 
 val event_count : t -> int
@@ -280,100 +303,6 @@ val metrics : t -> metrics
 
 (** An independent copy of the current metrics. *)
 val metrics_snapshot : t -> metrics
-
-(** {2 Metric recorders} — each is a no-op unless {!metrics_on}. *)
-
-val record_commit : t -> latency:float -> unit
-
-val record_abort : t -> latency:float -> unit
-
-val record_lock_wait : t -> float -> unit
-
-val record_conflict : t -> conflict_source -> unit
-
-val record_doomed : t -> unit
-
-val record_wal_flush : t -> unit
-
-(** [record_cleanup ~released ~retained] after a suspended-list cleanup
-    pass. Does not advance the retained high-water marks: the post-cleanup
-    count never exceeds what {!note_retained} already saw at append time
-    (advancing it here double-counted the probe). *)
-val record_cleanup : t -> released:int -> retained:int -> unit
-
-(** Advance the per-transaction SIREAD-count high-water mark. *)
-val note_siread : t -> int -> unit
-
-(** [note_retained ~siread ~record] advances the retained high-water marks:
-    committed txns still holding SIREADs, plain committed records, and their
-    sum. *)
-val note_retained : t -> siread:int -> record:int -> unit
-
-(** Advance the live SIREAD lock-table-entry high-water mark. *)
-val note_siread_live : t -> int -> unit
-
-(** {2 Bounded-memory mode recorders} ([Config.memory_budget]) *)
-
-(** Count one row→page SIREAD granularity promotion. *)
-val record_promotion : t -> unit
-
-(** Count [txns] committed transactions folded into the summary table. *)
-val record_summarized : t -> txns:int -> unit
-
-(** Advance the summary-table-size high-water mark. *)
-val note_summary : t -> int -> unit
-
-(** Count one budget-pressure event (a commit that forced summarization). *)
-val record_budget_pressure : t -> unit
-
-(** {2 Durability recorders} *)
-
-(** Count one hardened WAL checkpoint record. *)
-val record_checkpoint : t -> unit
-
-(** Count [n] log records replayed by a recovery pass. *)
-val record_replayed : t -> n:int -> unit
-
-(** {2 Exploration recorders (the DPOR schedule explorer)} *)
-
-(** Count one exploration: [schedules] executed against a multinomial bound
-    of [bound]. *)
-val record_explored : t -> schedules:int -> bound:int -> unit
-
-(** Count [n] backtrack points added by race analysis. *)
-val record_backtracks : t -> n:int -> unit
-
-(** Count [n] sleep-set suppressions (a backtrack candidate whose subtree
-    was already covered elsewhere). *)
-val record_sleep_hits : t -> n:int -> unit
-
-(** {2 Attribution recorders} — each feeds the per-resource space-saving
-    sketch and is a single branch unless one was installed ([?sketch] at
-    {!create}). Resource ids are the canonical encodings
-    (["r|p|g/<table>/<key>"]). Recording derives only from values already in
-    the caller's hands, so engine behaviour is identical with the sketch on
-    or off. *)
-
-(** One rw-antidependency edge detected on the resource. *)
-val attrib_conflict : t -> string -> unit
-
-(** One blocking lock acquisition on the resource that waited [float]
-    simulated seconds. *)
-val attrib_lock_wait : t -> string -> float -> unit
-
-(** One SIREAD grant on the resource (residency proxy). *)
-val attrib_siread : t -> string -> unit
-
-(** One first-committer-wins abort blocked by a version/stamp on the
-    resource. Blamed live at the abort site — the pivot in/out-edge blame,
-    by contrast, is folded from certificates by {!Attrib.blame}. *)
-val attrib_fcw : t -> string -> unit
-
-(** One row→page SIREAD promotion landing on the (page) resource. *)
-val attrib_promotion : t -> string -> unit
-
-(** One summarization fold touching the resource's summary entry. *)
-val attrib_summarized : t -> string -> unit
 
 (** {1 Chrome-trace export}
 
@@ -394,7 +323,8 @@ val write_trace_file : ?extra:string list -> string -> t -> unit
 val trace_counter : Buffer.t -> name:string -> ts:float -> (string * string) list -> unit
 
 (** One event as its standalone trace-record JSON object (no trailing
-    newline) — the flight recorder's ring-dump line format. *)
+    newline) — the flight recorder's ring-dump line format. Raises
+    [Invalid_argument] on a fold-only event, which is never buffered. *)
 val event_json : float * event -> string
 
 (** Canonical exporter-safe form of a resource id: bytes outside printable

@@ -45,11 +45,9 @@ val needs_begin_marker : Core.Config.t -> bool
     [config] defaults to the history-recording test configuration
     ([record_history] is forced on regardless). [pool] parallelises
     frontier batches — results are byte-identical at any pool size.
-    [obs] receives the reduction metrics ({!Obs.record_explored} etc.);
-    per-run engines are not instrumented. [on_run] fires once per executed
-    schedule, on the submitting thread, in deterministic order (oracles over
-    explored runs — e.g. asserting zero MVSG violations). [init]/[ro] as in
-    {!Interleave.run_interleaving}.
+    [on_run] fires once per executed schedule, on the submitting thread, in
+    deterministic order (oracles over explored runs — e.g. asserting zero
+    MVSG violations). [init]/[ro] as in {!Interleave.run_interleaving}.
 
     Bounded-memory configurations ([memory_budget]) are outside the
     explorer's dependency model: SIREAD summarization keys off a global
@@ -57,7 +55,6 @@ val needs_begin_marker : Core.Config.t -> bool
     them with {!sweep} instead. *)
 val explore :
   ?config:Core.Config.t ->
-  ?obs:Obs.t ->
   ?pool:Par.t ->
   ?on_run:(Interleave.result -> unit) ->
   ?init:(string * string) list ->

@@ -152,6 +152,83 @@ let test_conflict_sources_split () =
   Alcotest.(check bool) "siread-x edges counted" true (m.Obs.m_conflict_siread_x > 0);
   Alcotest.(check int) "no page-stamp edges in row mode" 0 m.Obs.m_conflict_page_stamp
 
+(* {1 One event per fact: the folds of [Obs.emit]}
+
+   Every engine fact reaches the metrics and the sketch through the same
+   [emit] that feeds the trace, so what a sink folds must not depend on
+   whether it also buffers the trace. Each run below happens three times on
+   one seed: metrics and sketch with the trace off, the same with the trace
+   on, and the sketch alone. *)
+
+let fold_runs ~make_db ~mix cfg =
+  let run ~trace ~metrics =
+    let obs = Obs.create ~trace ~metrics ~sketch:64 () in
+    ignore (Driver.run_once ~obs ~make_db ~mix cfg);
+    obs
+  in
+  let off = run ~trace:false ~metrics:true in
+  let on = run ~trace:true ~metrics:true in
+  let sketch_only = run ~trace:false ~metrics:false in
+  let entries o = Sketch.entries (Option.get (Obs.sketch o)) in
+  let pp o = Fmt.str "%a" Obs.pp_metrics (Obs.metrics o) in
+  Alcotest.(check int) "trace-off sink buffers nothing" 0 (Obs.event_count off);
+  Alcotest.(check bool) "trace-on sink buffers events" true (Obs.event_count on > 0);
+  Alcotest.(check string) "metrics report, trace off = trace on" (pp off) (pp on);
+  Alcotest.(check bool) "metrics, trace off = trace on" true (Obs.metrics off = Obs.metrics on);
+  Alcotest.(check bool) "sketch tracked something" true (entries off <> []);
+  Alcotest.(check bool) "sketch, trace off = trace on" true (entries off = entries on);
+  Alcotest.(check bool) "sketch, metrics off = metrics on" true
+    (entries sketch_only = entries off);
+  Obs.metrics off
+
+let test_folds_sibench_ssi () =
+  let m =
+    fold_runs ~make_db:sibench_make_db ~mix:(Sibench.mix ~items:20 ())
+      { sibench_cfg with Driver.mpl = 10 }
+  in
+  Alcotest.(check bool) "conflict edges" true (Obs.conflict_total m > 0);
+  Alcotest.(check bool) "lock waits" true (Obs.hist_count m.Obs.m_lock_wait > 0);
+  Alcotest.(check bool) "wal flushes" true (m.Obs.m_wal_flushes > 0);
+  Alcotest.(check bool) "cleanup released" true (m.Obs.m_cleanup_released > 0);
+  Alcotest.(check bool) "live SIREAD high-water mark" true (m.Obs.m_siread_live_hwm > 0);
+  Alcotest.(check bool) "retained high-water mark" true (m.Obs.m_retained_hwm > 0)
+
+let smallbank_make_db config ~customers sim =
+  let db = Db.create ~config sim in
+  Smallbank.setup db ~customers ();
+  db
+
+let test_folds_smallbank_bdb () =
+  let m =
+    fold_runs
+      ~make_db:(smallbank_make_db (Config.bdb ()) ~customers:100)
+      ~mix:(Smallbank.mix ~customers:100 ())
+      { sibench_cfg with Driver.mpl = 10 }
+  in
+  Alcotest.(check bool) "commits" true (Obs.hist_count m.Obs.m_commit_latency > 0);
+  Alcotest.(check bool) "page-stamp or SIREAD-x edges" true (Obs.conflict_total m > 0);
+  Alcotest.(check bool) "SIREAD per-txn high-water mark" true (m.Obs.m_siread_hwm > 0);
+  Alcotest.(check bool) "live SIREAD high-water mark" true (m.Obs.m_siread_live_hwm > 0)
+
+(* Row locking with a small memory budget and a promotion threshold of two
+   rows per leaf page: promotion, summarization and the summary high-water
+   mark all fire. *)
+let test_folds_bounded () =
+  let config =
+    { (Config.innodb ()) with Config.memory_budget = Some 32; promote_threshold = 2 }
+  in
+  let m =
+    fold_runs
+      ~make_db:(smallbank_make_db config ~customers:50)
+      ~mix:(Smallbank.mix ~customers:50 ~ops_per_txn:4 ())
+      { sibench_cfg with Driver.mpl = 10 }
+  in
+  Alcotest.(check bool) "promotions" true (m.Obs.m_promotions > 0);
+  Alcotest.(check bool) "summarized txns" true (m.Obs.m_summarized > 0);
+  Alcotest.(check bool) "budget pressure events" true (m.Obs.m_budget_pressure > 0);
+  Alcotest.(check bool) "summary high-water mark" true (m.Obs.m_summary_hwm > 0);
+  Alcotest.(check bool) "live SIREAD high-water mark" true (m.Obs.m_siread_live_hwm > 0)
+
 (* {1 Stats satellites} *)
 
 (* User aborts are booked under their own counter, not aborts_other, and are
@@ -558,6 +635,9 @@ let () =
         [
           ("metrics populated by a run", `Quick, test_metrics_populated);
           ("conflict sources split", `Quick, test_conflict_sources_split);
+          ("folds agree, contended sibench SSI", `Quick, test_folds_sibench_ssi);
+          ("folds agree, smallbank BDB", `Quick, test_folds_smallbank_bdb);
+          ("folds agree, bounded memory", `Quick, test_folds_bounded);
         ] );
       ( "stats",
         [

@@ -69,6 +69,28 @@ if [ "$k" -lt 4 ]; then
   exit 1
 fi
 
+# Allocation gate: the deterministic half of "zero cost when off". `perf`
+# counts the minor-heap words one commit-path transaction and one
+# lock-manager acquire/upgrade/release cycle allocate with no sink
+# installed. A single-domain simulated run allocates exactly the same words
+# on every run of the same binary, so any value above its baseline fails:
+# an observability call that builds its event or boxes its timestamp before
+# checking the sink lands here, where the wall-clock A/B above cannot see it
+# (both of its sides pay). The baseline is tied to the compiler that
+# recorded it (OCaml 5.1.1); re-record it with the toolchain, not to pass.
+grep -q '"alloc": \[' "$out" || { echo "check_bench: missing alloc section" >&2; exit 1; }
+for loop in commit-path lock-acquire-release; do
+  pat="s/.*\"loop\": \"$loop\", \"minor_words_per_run\": \([0-9.][0-9.]*\).*/\1/p"
+  words=$(sed -n "$pat" "$out")
+  base=$(sed -n "$pat" tools/bench_baseline.json)
+  [ -n "$words" ] || { echo "check_bench: no minor-words figure for $loop" >&2; exit 1; }
+  [ -n "$base" ] || { echo "check_bench: no minor-words baseline for $loop" >&2; exit 1; }
+  if awk -v w="$words" -v b="$base" 'BEGIN { exit !(w > b) }'; then
+    echo "check_bench: $loop allocates $words minor words per run with no sink, above its baseline $base" >&2
+    exit 1
+  fi
+done
+
 # Timeline gate: the windowed-telemetry probe must be present, must have
 # bucketed a non-trivial run into windows, and the wasted-work ledger must
 # balance (committed + wasted + in-flight covers every begin->outcome span).
@@ -149,4 +171,4 @@ if awk -v r="$atns" 'BEGIN { exit !(r <= 0.0) }'; then
   exit 1
 fi
 
-echo "check_bench: OK ($n benches within ${MAX_REGRESS:-2.0}x of baseline, $j speedup points, obs overhead <= ${obs_max}% on $k hot paths, bounded run within budget with $summarized txns summarized, recovery replayed $replayed records / $recovered commits, DPOR reduction ${reduction}x at ${schedrate} schedules/s, timeline ledger conserved over $tlwin windows, attribution sketch $atupd updates at ${atns} ns/update)"
+echo "check_bench: OK ($n benches within ${MAX_REGRESS:-2.0}x of baseline, $j speedup points, obs overhead <= ${obs_max}% on $k hot paths, no-sink allocation within baseline, bounded run within budget with $summarized txns summarized, recovery replayed $replayed records / $recovered commits, DPOR reduction ${reduction}x at ${schedrate} schedules/s, timeline ledger conserved over $tlwin windows, attribution sketch $atupd updates at ${atns} ns/update)"
