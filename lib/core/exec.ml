@@ -107,11 +107,22 @@ let acquire t mode resource =
   Lockmgr.acquire t.db.locks ~owner:t.id ~mode resource;
   check_doom t
 
-(* SIREAD acquisition: never blocks, at most one entry per resource. *)
+(* SIREAD acquisition: never blocks, at most one entry per resource. The
+   charged path can yield on the lock mutex, so it tests for the SIREAD
+   before the charge and grants after it; the uncharged path does both in
+   one lock-manager call. *)
 let acquire_siread ?(charge = true) t resource =
-  if not (Lockmgr.holds t.db.locks ~owner:t.id ~mode:Lockmgr.Siread resource) then begin
-    if charge then charge_lock_ops t.db 1;
-    Lockmgr.acquire t.db.locks ~owner:t.id ~mode:Lockmgr.Siread resource;
+  let locks = t.db.locks in
+  let granted =
+    if not charge then Lockmgr.acquire_siread locks ~owner:t.id resource
+    else if Lockmgr.holds locks ~owner:t.id ~mode:Lockmgr.Siread resource then false
+    else begin
+      charge_lock_ops t.db 1;
+      Lockmgr.acquire locks ~owner:t.id ~mode:Lockmgr.Siread resource;
+      true
+    end
+  in
+  if granted then begin
     t.siread_count <- t.siread_count + 1;
     t.db.n_siread_entries <- t.db.n_siread_entries + 1;
     if Obs.enabled t.db.obs then
@@ -301,8 +312,7 @@ let propagate_splits db table_name (access : Btree.access) =
               ~out_conflict:s.sm_out
         | None -> ());
         Lockmgr.iter_siread_holders db.locks old_r (fun owner ->
-            if not (Lockmgr.holds db.locks ~owner ~mode:Lockmgr.Siread new_r) then begin
-              Lockmgr.acquire db.locks ~owner ~mode:Lockmgr.Siread new_r;
+            if Lockmgr.acquire_siread db.locks ~owner new_r then begin
               db.n_siread_entries <- db.n_siread_entries + 1;
               match find_txn db owner with
               | Some reader -> reader.siread_count <- reader.siread_count + 1

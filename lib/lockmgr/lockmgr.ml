@@ -13,6 +13,14 @@
    Resources are strings; the engine encodes row keys, gap keys and page ids
    into them. Owners are integer transaction ids.
 
+   Each hold is linked both into its entry and into its owner's list of
+   holds (as in Ports & Grittner's PostgreSQL SSI, where a predicate lock
+   is linked to its target and to its transaction), so granting, committing
+   and cleaning up a transaction walk its own list and hash no resource
+   name. Only the releases that can wake a waiter are ordered: their order
+   is the one the per-owner hash index this list replaced gave them, and it
+   is recomputed from the owner's record ({!holdings}).
+
    Deadlock detection is either [Immediate] (a waits-for cycle check on every
    block, InnoDB-style) or [Periodic dt] (a detector process that scans every
    [dt] simulated seconds, like Berkeley DB's db_perf setup in §6.1 — the
@@ -35,25 +43,18 @@ let blocks requested held =
   | S, S | Siread, _ | _, Siread -> false
 
 (* One owner's holds on one resource: a count of recursive acquisitions per
-   mode, and the link to the next hold in the same bucket of the resource's
-   owner table. *)
+   mode. A hold sits on two lists: the chain of its bucket in the entry's
+   owner table ([next]), and its owner's list of holds ([onext]/[oprev]). *)
 type hold = {
   owner : owner;
+  lock : lock; (* the entry this hold is on *)
   mutable s : int;
   mutable x : int;
   mutable siread : int;
   mutable next : hold; (* [nil] ends a chain *)
+  mutable onext : hold; (* [nil] ends the owner's list *)
+  mutable oprev : hold; (* [nil] at the head of the owner's list *)
 }
-
-let rec nil = { owner = no_owner; s = 0; x = 0; siread = 0; next = nil }
-
-let count_of h = function S -> h.s | X -> h.x | Siread -> h.siread
-
-(* Whether another owner's hold [h] makes a request for [mode] wait. *)
-let hold_blocks mode h =
-  match mode with X -> h.s > 0 || h.x > 0 | S -> h.x > 0 | Siread -> false
-
-type waiter = { wowner : owner; wmode : mode; waker : Sim.waker }
 
 (* A resource's lock-table entry. The holds form a chained hash table on the
    owner with the stdlib [Hashtbl]'s layout: 16 initial buckets, insertion at
@@ -61,17 +62,70 @@ type waiter = { wowner : owner; wmode : mode; waker : Sim.waker }
    than two holds per bucket. That layout fixes the order of {!holders} and
    {!iter_siread_holders}, and with it the order in which a writer marks
    conflicts, so it is part of the simulated outcome. *)
-type lock = {
+and lock = {
   resource : string;
+  hash : int; (* [Hashtbl.hash resource]: fixes the release order *)
   mutable buckets : hold array;
   mutable n_holds : int;
   mutable x_owner : owner; (* the one owner holding X, or [no_owner] *)
   mutable queue : waiter list; (* FIFO: head is served first *)
+  mutable listed : bool; (* on [t.queued] *)
 }
 
-(* Stands for "no entry": holds nothing, and is never in the table. *)
-let no_lock =
-  { resource = "(no lock)"; buckets = [| nil |]; n_holds = 0; x_owner = no_owner; queue = [] }
+(* One owner's holds, newest first, and what fixes the order its S/X holds
+   are released in. A release that can grant a waiter must happen in the
+   order the owner's resources had in the per-owner [Hashtbl] index this
+   record replaces, since that order is the order waiters wake in. That
+   index was created with 16 buckets when the owner first held something,
+   doubled once it held more than two resources per bucket, never shrank,
+   and was dropped by [release_all] and [transfer_sireads] once empty; its
+   fold visited buckets in ascending order, each newest first, and release
+   ran the fold reversed. [peak] fixes its bucket count, [Hashtbl.hash] of
+   the resource (cached in the entry) the bucket, and the list's order the
+   position in the bucket, so {!release_order} recomputes that order. *)
+and holdings = {
+  mutable first : hold; (* newest; [nil] when empty *)
+  mutable live : int; (* holds on the list *)
+  mutable peak : int; (* most holds on the list since the record was made *)
+  mutable strong : int; (* holds with S or X *)
+}
+
+and waiter = { wowner : owner; wmode : mode; waker : Sim.waker }
+
+(* [nil] stands for "no hold" and [no_lock] for "no entry": both hold
+   nothing, and neither is ever in a table or a list. *)
+let rec nil =
+  {
+    owner = no_owner;
+    lock = no_lock;
+    s = 0;
+    x = 0;
+    siread = 0;
+    next = nil;
+    onext = nil;
+    oprev = nil;
+  }
+
+and no_lock =
+  {
+    resource = "(no lock)";
+    hash = 0;
+    buckets = [| nil |];
+    n_holds = 0;
+    x_owner = no_owner;
+    queue = [];
+    listed = false;
+  }
+
+and no_holdings = { first = nil; live = 0; peak = 0; strong = 0 }
+
+let count_of h = function S -> h.s | X -> h.x | Siread -> h.siread
+
+let is_strong h = h.s > 0 || h.x > 0
+
+(* Whether another owner's hold [h] makes a request for [mode] wait. *)
+let hold_blocks mode h =
+  match mode with X -> is_strong h | S -> h.x > 0 | Siread -> false
 
 let bucket_of l owner = Hashtbl.hash owner land (Array.length l.buckets - 1)
 
@@ -98,15 +152,34 @@ let resize l =
   in
   Array.iter move old
 
-let add_hold l owner =
+(* A new, empty hold of [o]'s owner on [l], at the head of its bucket chain
+   and of the owner's list. *)
+let add_hold l o owner =
   let i = bucket_of l owner in
-  let h = { owner; s = 0; x = 0; siread = 0; next = l.buckets.(i) } in
+  let h =
+    {
+      owner;
+      lock = l;
+      s = 0;
+      x = 0;
+      siread = 0;
+      next = l.buckets.(i);
+      onext = o.first;
+      oprev = nil;
+    }
+  in
   l.buckets.(i) <- h;
   l.n_holds <- l.n_holds + 1;
   if l.n_holds > 2 * Array.length l.buckets then resize l;
+  if o.first != nil then o.first.oprev <- h;
+  o.first <- h;
+  o.live <- o.live + 1;
+  if o.live > o.peak then o.peak <- o.live;
   h
 
-let remove_hold l h =
+(* Unlink [h] from its entry's chain. *)
+let unchain h =
+  let l = h.lock in
   let i = bucket_of l h.owner in
   if l.buckets.(i) == h then l.buckets.(i) <- h.next
   else begin
@@ -116,6 +189,21 @@ let remove_hold l h =
     unlink l.buckets.(i)
   end;
   l.n_holds <- l.n_holds - 1
+
+(* Unlink [h] from its entry's chain and from its owner's list [o]. *)
+let remove_hold o h =
+  unchain h;
+  if h.oprev == nil then o.first <- h.onext else h.oprev.onext <- h.onext;
+  if h.onext != nil then h.onext.oprev <- h.oprev;
+  o.live <- o.live - 1
+
+(* [holds], some of [o]'s holds listed oldest first, in the order of the
+   per-owner index's fold reversed: buckets descending, oldest first within
+   a bucket. *)
+let release_order o holds =
+  let rec buckets n = if o.peak <= 2 * n then n else buckets (2 * n) in
+  let mask = buckets 16 - 1 in
+  List.stable_sort (fun a b -> compare (b.lock.hash land mask) (a.lock.hash land mask)) holds
 
 (* Holds in bucket order, each chain from its head: the stdlib's fold
    order. *)
@@ -152,8 +240,14 @@ type t = {
      compare one pointer. [last_lock] is [no_lock] when the entry is gone. *)
   mutable last_resource : string;
   mutable last_lock : lock;
-  (* Per owner: every resource it holds a mode on, with that entry. *)
-  owned : (owner, (string, lock) Hashtbl.t) Hashtbl.t;
+  (* Each owner's holds, and a one-entry cache of this table, which the
+     owner that is running hits. *)
+  owners : (owner, holdings) Hashtbl.t;
+  mutable last_owner : owner;
+  mutable last_holdings : holdings;
+  (* Every entry that has had a queue since the last waits-for scan
+     ([listed]); the scan drops those whose queue is empty. *)
+  mutable queued : lock list;
   waiting : (owner, string) Hashtbl.t; (* owner -> resource it blocks on *)
   mutable requests : int;
   mutable waits : int;
@@ -173,7 +267,10 @@ let create ?(detection = Immediate) sim =
     table = Hashtbl.create 4096;
     last_resource = no_lock.resource;
     last_lock = no_lock;
-    owned = Hashtbl.create 256;
+    owners = Hashtbl.create 256;
+    last_owner = no_owner;
+    last_holdings = no_holdings;
+    queued = [];
     waiting = Hashtbl.create 64;
     requests = 0;
     waits = 0;
@@ -187,12 +284,42 @@ let set_obs t obs = t.obs <- obs
 
 let set_on_touch t f = t.on_touch <- f
 
+(* [owner]'s record, or [no_holdings]. *)
+let find_holdings t owner =
+  if owner = t.last_owner then t.last_holdings
+  else
+    match Hashtbl.find t.owners owner with
+    | o ->
+        t.last_owner <- owner;
+        t.last_holdings <- o;
+        o
+    | exception Not_found -> no_holdings
+
+let get_holdings t owner =
+  let o = find_holdings t owner in
+  if o != no_holdings then o
+  else begin
+    let o = { first = nil; live = 0; peak = 0; strong = 0 } in
+    Hashtbl.replace t.owners owner o;
+    t.last_owner <- owner;
+    t.last_holdings <- o;
+    o
+  end
+
+let drop_holdings t owner =
+  Hashtbl.remove t.owners owner;
+  if t.last_owner = owner then begin
+    t.last_owner <- no_owner;
+    t.last_holdings <- no_holdings
+  end
+
+let rec fold_owned f h acc = if h == nil then acc else fold_owned f h.onext (f h acc)
+
 (* Every resource [owner] currently holds at least one mode on (sorted, so
    callers iterating it stay deterministic). *)
 let owned_resources t owner =
-  match Hashtbl.find_opt t.owned owner with
-  | None -> []
-  | Some set -> List.sort compare (Hashtbl.fold (fun r _ acc -> r :: acc) set [])
+  let o = find_holdings t owner in
+  List.sort compare (fold_owned (fun h acc -> h.lock.resource :: acc) o.first [])
 
 (* The entry for [resource], or [no_lock]. Allocates nothing. *)
 let find_lock t resource =
@@ -210,7 +337,15 @@ let get_lock t resource =
   if l != no_lock then l
   else begin
     let l =
-      { resource; buckets = Array.make 16 nil; n_holds = 0; x_owner = no_owner; queue = [] }
+      {
+        resource;
+        hash = Hashtbl.hash resource;
+        buckets = Array.make 16 nil;
+        n_holds = 0;
+        x_owner = no_owner;
+        queue = [];
+        listed = false;
+      }
     in
     Hashtbl.replace t.table resource l;
     t.last_resource <- resource;
@@ -226,16 +361,8 @@ let drop_lock t l =
     t.last_lock <- no_lock
   end
 
-let note_owned t owner l =
-  let set =
-    match Hashtbl.find t.owned owner with
-    | s -> s
-    | exception Not_found ->
-        let s = Hashtbl.create 16 in
-        Hashtbl.replace t.owned owner s;
-        s
-  in
-  Hashtbl.replace set l.resource l
+(* Drop [l] if nobody holds or waits for it any more. *)
+let drop_if_unused t l = if l.n_holds = 0 && l.queue = [] then drop_lock t l
 
 (* Modes currently held by [owner] on [resource]. *)
 let holds_of t ~owner resource =
@@ -276,27 +403,35 @@ let conflicts_with_queue l ~owner ~mode =
 (* Grant [mode] to [owner], whose hold on [l] is [h] ([nil] if it has
    none yet). *)
 let grant t l h ~owner ~mode =
-  let h =
-    if h != nil then h
-    else begin
-      let h = add_hold l owner in
-      note_owned t owner l;
-      h
-    end
-  in
+  let h = if h != nil then h else add_hold l (get_holdings t owner) owner in
   match mode with
-  | S -> h.s <- h.s + 1
-  | X ->
-      h.x <- h.x + 1;
-      l.x_owner <- owner
   | Siread -> h.siread <- h.siread + 1
+  | S | X ->
+      if not (is_strong h) then begin
+        let o = find_holdings t owner in
+        o.strong <- o.strong + 1
+      end;
+      if mode = S then h.s <- h.s + 1
+      else begin
+        h.x <- h.x + 1;
+        l.x_owner <- owner
+      end
 
 (* Blocked owners and who they wait for: edges from a waiter to every
-   conflicting holder and every conflicting earlier waiter. *)
+   conflicting holder and every conflicting earlier waiter. Only entries
+   with a queue can contribute, so the scan visits [t.queued], dropping the
+   entries whose queue has emptied. Edge order is not observable: every
+   consumer sorts the edges or only asks whether a cycle exists. *)
 let waits_for_edges t =
   let edges = ref [] in
-  Hashtbl.iter
-    (fun _ l ->
+  t.queued <-
+    List.filter
+      (fun l ->
+        l.listed <- l.queue <> [];
+        l.listed)
+      t.queued;
+  List.iter
+    (fun l ->
       let earlier = ref [] in
       List.iter
         (fun w ->
@@ -314,7 +449,7 @@ let waits_for_edges t =
             earlier := w :: !earlier
           end)
         l.queue)
-    t.table;
+    t.queued;
   !edges
 
 (* Is [start] part of a waits-for cycle reachable from itself? *)
@@ -571,7 +706,11 @@ let acquire t ~owner ~mode resource =
     let enqueue w =
       let entry = { wowner = owner; wmode = mode; waker = w } in
       if already_holds then l.queue <- entry :: l.queue
-      else l.queue <- l.queue @ [ entry ]
+      else l.queue <- l.queue @ [ entry ];
+      if not l.listed then begin
+        l.listed <- true;
+        t.queued <- l :: t.queued
+      end
     in
     (try Sim.suspend t.sim enqueue
      with e ->
@@ -591,58 +730,113 @@ let acquire t ~owner ~mode resource =
     end
   end
 
+(* Grant a SIREAD on [resource] to [owner] unless it holds one already;
+   returns whether it granted. A grant counts and reports like {!acquire}. *)
+let acquire_siread t ~owner resource =
+  let l = find_lock t resource in
+  let h = find_hold l owner in
+  if h.siread > 0 then false
+  else begin
+    t.requests <- t.requests + 1;
+    (match t.on_touch with Some f -> f owner false resource | None -> ());
+    grant t (if l != no_lock then l else get_lock t resource) h ~owner ~mode:Siread;
+    if Obs.tracing t.obs then
+      Obs.emit t.obs ~ts:(Sim.now t.sim)
+        (Obs.Lock_acquire { owner; mode = mode_to_string Siread; resource });
+    true
+  end
+
 let release_one t ~owner ~mode resource =
   let l = find_lock t resource in
   let h = find_hold l owner in
   if count_of h mode > 0 then begin
+    let was_strong = is_strong h in
     (match mode with
     | S -> h.s <- 0
     | X ->
         h.x <- 0;
         l.x_owner <- no_owner
     | Siread -> h.siread <- 0);
-    if h.s = 0 && h.x = 0 && h.siread = 0 then begin
-      remove_hold l h;
-      Hashtbl.remove (Hashtbl.find t.owned owner) resource
-    end;
+    let o = find_holdings t owner in
+    if was_strong && not (is_strong h) then o.strong <- o.strong - 1;
+    if h.s = 0 && h.x = 0 && h.siread = 0 then remove_hold o h;
     grant_waiters t l;
-    if l.n_holds = 0 && l.queue = [] then drop_lock t l
+    drop_if_unused t l
   end
 
+(* The tail of a release of [h]'s S/X modes: a release that can wake a
+   waiter (its entry has a queue) is put on [ordered] for {!wake_in_order};
+   any other can finish now, in any order. Walks run newest first, so
+   [ordered] lists oldest first. *)
+let settle t ordered h =
+  let l = h.lock in
+  if l.queue <> [] then ordered := h :: !ordered else drop_if_unused t l
+
+(* Finish the releases on [ordered] in the order of [o]'s old index, so
+   waiters wake in the order they always did. *)
+let wake_in_order t o ordered =
+  List.iter
+    (fun h ->
+      grant_waiters t h.lock;
+      drop_if_unused t h.lock)
+    (release_order o ordered)
+
 (* Release every lock [owner] holds, optionally keeping SIREAD entries (a
-   committing SSI transaction keeps them while suspended, §3.3). A kept
-   SIREAD-only hold changes nothing (no waiter can be waiting for it), so
-   it is not visited. The remaining entries are released in the order of
-   the owner's index fold, reversed. *)
+   committing SSI transaction keeps them while suspended, §3.3). The holds
+   are found by walking the owner's list, not looked up. A kept SIREAD-only
+   hold changes nothing, so an owner holding no S or X is done at once.
+   Dropping a SIREAD grants nobody (no waiter waits for one), so only the
+   releases of S/X holds whose entry has a queue are ordered
+   ({!wake_in_order}). *)
 let release_all ?(keep_siread = false) t owner =
   if Obs.tracing t.obs then
     Obs.emit t.obs ~ts:(Sim.now t.sim) (Obs.Lock_release_all { owner; kept_siread = keep_siread });
-  match Hashtbl.find_opt t.owned owner with
-  | None -> ()
-  | Some set ->
-      let locks =
-        Hashtbl.fold
-          (fun _ l acc ->
-            let h = find_hold l owner in
-            if h == nil || (keep_siread && h.s = 0 && h.x = 0) then acc else (l, h) :: acc)
-          set []
-      in
-      List.iter
-        (fun (l, h) ->
+  let o = find_holdings t owner in
+  if o != no_holdings then begin
+    let ordered = ref [] in
+    if not keep_siread then begin
+      (* The whole record goes: unchain each hold, leave the list as is. *)
+      let rec walk h =
+        if h != nil then begin
+          let l = h.lock and strong = is_strong h in
+          if h.x > 0 then l.x_owner <- no_owner;
           h.s <- 0;
-          if h.x > 0 then begin
+          h.x <- 0;
+          h.siread <- 0;
+          unchain h;
+          if strong then settle t ordered h
+          else begin
+            if l.queue <> [] then grant_waiters t l;
+            drop_if_unused t l
+          end;
+          walk h.onext
+        end
+      in
+      walk o.first;
+      drop_holdings t owner
+    end
+    else begin
+      let rec walk h =
+        if h != nil then begin
+          let next = h.onext in
+          if is_strong h then begin
+            if h.x > 0 then h.lock.x_owner <- no_owner;
+            h.s <- 0;
             h.x <- 0;
-            l.x_owner <- no_owner
+            if h.siread = 0 then remove_hold o h;
+            settle t ordered h
           end;
-          if not keep_siread then h.siread <- 0;
-          if h.siread = 0 then begin
-            remove_hold l h;
-            Hashtbl.remove set l.resource
-          end;
-          grant_waiters t l;
-          if l.n_holds = 0 && l.queue = [] then drop_lock t l)
-        locks;
-      if Hashtbl.length set = 0 then Hashtbl.remove t.owned owner
+          walk next
+        end
+      in
+      if o.strong > 0 then begin
+        walk o.first;
+        o.strong <- 0
+      end;
+      if o.live = 0 then drop_holdings t owner
+    end;
+    wake_in_order t o !ordered
+  end
 
 (* Move every SIREAD annotation of [owner] onto [to_owner], merging with any
    the target already holds there (SIREAD is a set-like annotation: one entry
@@ -652,33 +846,28 @@ let release_all ?(keep_siread = false) t owner =
    committed-transaction summarization to pool old owners' entries under one
    sentinel owner, bounding the lock table. Returns each transferred
    resource paired with whether the target already held a SIREAD there (the
-   table shrinks by one entry in that case). *)
+   table shrinks by one entry in that case), in {!release_order}. *)
 let transfer_sireads t ~owner ~to_owner =
-  match Hashtbl.find_opt t.owned owner with
-  | None -> []
-  | Some set ->
-      let locks = Hashtbl.fold (fun _ l acc -> l :: acc) set [] in
-      let moved =
-        List.filter_map
-          (fun l ->
-            let h = find_hold l owner in
-            if h.siread = 0 then None
-            else begin
-              h.siread <- 0;
-              if h.s = 0 && h.x = 0 then begin
-                remove_hold l h;
-                Hashtbl.remove set l.resource
-              end;
-              let th = find_hold l to_owner in
-              let merged = th.siread > 0 in
-              if th == nil then grant t l nil ~owner:to_owner ~mode:Siread
-              else if not merged then th.siread <- 1;
-              Some (l.resource, merged)
-            end)
-          locks
-      in
-      if Hashtbl.length set = 0 then Hashtbl.remove t.owned owner;
-      moved
+  let o = find_holdings t owner in
+  if o == no_holdings then []
+  else begin
+    let sireads = fold_owned (fun h acc -> if h.siread > 0 then h :: acc else acc) o.first [] in
+    let moved =
+      List.map
+        (fun h ->
+          let l = h.lock in
+          h.siread <- 0;
+          if not (is_strong h) then remove_hold o h;
+          let th = find_hold l to_owner in
+          let merged = th.siread > 0 in
+          if th == nil then grant t l nil ~owner:to_owner ~mode:Siread
+          else if not merged then th.siread <- 1;
+          (l.resource, merged))
+        (release_order o sireads)
+    in
+    if o.live = 0 then drop_holdings t owner;
+    moved
+  end
 
 (* Abort an owner that is currently blocked: raise [exn] inside it. *)
 let cancel_wait t owner exn =

@@ -12,7 +12,18 @@
     and asking several about the resource just acquired costs one lookup.
 
     Re-entrant: an owner may hold several modes on one resource; its own
-    holds never block it (so an S→X upgrade waits only for other owners). *)
+    holds never block it (so an S→X upgrade waits only for other owners).
+
+    Each owner's holds are kept on a list, so {!release_all},
+    {!transfer_sireads} and {!owned_resources} walk the owner's own holds
+    and hash no resource name. {!release_all} with [~keep_siread:true] costs
+    nothing for an owner holding no S or X. Releasing an S or X hold on a
+    resource with waiters wakes them, so those releases keep a fixed order:
+    the one the owner's resources had in a stdlib [Hashtbl] of 16 initial
+    buckets, recomputed from each resource's hash, the owner's peak hold
+    count and the order of its grants. Every other release grants nobody and
+    may run in any order. {!transfer_sireads} returns its resources in the
+    same order. *)
 
 type mode = S | X | Siread
 
@@ -57,6 +68,14 @@ val owned_resources : t -> owner -> string list
     SIREAD never blocks. May raise {!Deadlock_victim}. *)
 val acquire : t -> owner:owner -> mode:mode -> string -> unit
 
+(** [acquire_siread t ~owner resource] grants a SIREAD unless [owner]
+    already holds one on [resource], and returns whether it granted. A
+    grant counts in {!requests} and calls the {!set_on_touch} hook as
+    {!acquire} does; finding the SIREAD held does neither. Equivalent to
+    [not (holds t ~owner ~mode:Siread resource)] followed by
+    [acquire t ~owner ~mode:Siread resource], with one lookup. *)
+val acquire_siread : t -> owner:owner -> string -> bool
+
 (** All (owner, mode) holds on a resource, including suspended committed
     SIREAD owners. *)
 val holders : t -> string -> (owner * mode) list
@@ -84,8 +103,7 @@ val release_one : t -> owner:owner -> mode:mode -> string -> unit
 
 (** Release everything [owner] holds. With [~keep_siread:true], SIREAD
     entries survive — a committing SSI transaction keeps them while
-    suspended (§3.3) — and SIREAD-only holds cost no work beyond the walk
-    of the owner's index. *)
+    suspended (§3.3) — and an owner holding no S or X costs nothing. *)
 val release_all : ?keep_siread:bool -> t -> owner -> unit
 
 (** If [owner] is blocked in {!acquire}, raise [exn] inside it and return
@@ -95,14 +113,17 @@ val cancel_wait : t -> owner -> exn -> bool
 (** [transfer_sireads t ~owner ~to_owner] moves every SIREAD annotation of
     [owner] onto [to_owner], merging where the target already holds one.
     Returns the transferred resources, each paired with [true] when it was
-    merged (the table shrank by one entry). Used by committed-transaction
+    merged (the table shrank by one entry), in the release order described
+    above. Used by committed-transaction
     summarization to pool old owners' SIREADs under a sentinel owner. *)
 val transfer_sireads : t -> owner:owner -> to_owner:owner -> (string * bool) list
 
 (** {1 Waits-for introspection} *)
 
 (** Current waits-for edges: a blocked owner points at every conflicting
-    holder and every conflicting earlier waiter. *)
+    holder and every conflicting earlier waiter. Only entries that have had
+    a queue since the last call are visited. The order of the edges is
+    unspecified. *)
 val waits_for_edges : t -> (owner * owner) list
 
 (** The waits-for cycle through [start] in [edges]: a path

@@ -328,6 +328,67 @@ let test_dropped_entry_not_reused () =
   Alcotest.(check int) "no X owner" Lockmgr.no_owner (Lockmgr.x_owner lm r);
   Alcotest.(check bool) "S held" true (Lockmgr.holds lm ~owner:2 ~mode:Lockmgr.S "a")
 
+(* {1 Release order}
+
+   Releasing an S or X hold wakes the entry's waiters, so the order of a
+   full release is the order in which waiters resume. That order is the one
+   of the per-owner index the lock manager once kept: a stdlib
+   [(string, unit) Hashtbl.t] created with 16 buckets, a resource added
+   with [replace] when the owner gains its first mode on it and removed
+   when the owner holds none, and the release running that table's fold
+   reversed. *)
+
+let old_index_release_order index = Hashtbl.fold (fun r () acc -> r :: acc) index []
+
+(* Owner 1 takes S or X on 40 resources and SIREAD-only holds on 6 more,
+   which grows the old index to 32 buckets, then gives up 16 with
+   [release_one] and takes 2 more: 32 holds, which alone would fit in 16
+   buckets. A waiter then blocks on each S/X resource, and
+   [release_all ~keep_siread] must wake them in the old index's order. *)
+let check_release_wake_order ~keep_siread () =
+  let sim = Sim.create () in
+  let lm = Lockmgr.create sim in
+  let index = Hashtbl.create 16 in
+  let name i = Printf.sprintf "r/t/%d" i in
+  let mode i = if i mod 3 = 0 then Lockmgr.S else Lockmgr.X in
+  let take i m =
+    Lockmgr.acquire lm ~owner:1 ~mode:m (name i);
+    Hashtbl.replace index (name i) ()
+  in
+  let released = List.init 16 (fun k -> (2 * k) + 1) in
+  let held =
+    List.filter (fun i -> not (List.mem i released)) (List.init 40 Fun.id) @ [ 46; 47 ]
+  in
+  let woken = ref [] and expected = ref [] in
+  Sim.spawn sim (fun () ->
+      for i = 0 to 39 do
+        take i (mode i);
+        if i mod 7 = 0 then take (40 + (i / 7)) Lockmgr.Siread
+      done;
+      List.iter
+        (fun i ->
+          Lockmgr.release_one lm ~owner:1 ~mode:(mode i) (name i);
+          Hashtbl.remove index (name i))
+        released;
+      take 46 Lockmgr.X;
+      take 47 Lockmgr.S;
+      Alcotest.(check int) "holds" 32 (Hashtbl.length index);
+      Sim.delay sim 2.0;
+      expected :=
+        List.filter (fun r -> List.mem r (List.map name held)) (old_index_release_order index);
+      Lockmgr.release_all ~keep_siread lm 1);
+  List.iteri
+    (fun k i ->
+      Sim.spawn sim (fun () ->
+          Sim.delay sim 1.0;
+          Lockmgr.acquire lm ~owner:(100 + k) ~mode:Lockmgr.X (name i);
+          woken := name i :: !woken;
+          Lockmgr.release_all lm (100 + k)))
+    held;
+  Sim.run sim;
+  Alcotest.(check int) "every waiter woke" (List.length held) (List.length !woken);
+  Alcotest.(check (list string)) "wake order" !expected (List.rev !woken)
+
 (* {1 Model-based check of the non-allocating queries}
 
    Random sequences of non-blocking lock operations run against the lock
@@ -337,7 +398,11 @@ let test_dropped_entry_not_reused () =
    forgotten when nobody holds it). After every step, [holders] must list
    the model's holds in the model's fold order, and [x_owner], [holds] and
    [iter_siread_holders] (contents and order) must agree with
-   [holders]/[holds_of], without changing [lock_table_size]. *)
+   [holders]/[holds_of], without changing [lock_table_size]. A second
+   model, [index], keeps each owner's old per-owner index (see
+   {!old_index_release_order}; the index is dropped once [release_all] or
+   [transfer_sireads] leaves it empty), and [transfer_sireads] must return
+   the moved resources in that index's release order. *)
 
 type op =
   | Acquire of int * Lockmgr.mode * string
@@ -401,11 +466,25 @@ let model_holders model r =
             acc Lockmgr.[ X; S; Siread ])
         holds []
 
-(* Apply [op] to the model; the lock manager's answer for transfers is
+(* Apply [op] to the models; the lock manager's answer for transfers is
    checked here too. *)
-let model_step lm model op =
+let model_step lm model index op =
   let holds_of r = match Hashtbl.find_opt model r with Some h -> h | None -> Hashtbl.create 4 in
   let forget_if_empty r h = if Hashtbl.length h = 0 then Hashtbl.remove model r in
+  let index_of o =
+    match Hashtbl.find_opt index o with
+    | Some i -> i
+    | None ->
+        let i = Hashtbl.create 16 in
+        Hashtbl.replace index o i;
+        i
+  in
+  let unindex o r = Hashtbl.remove (index_of o) r in
+  let drop_index_if_empty o =
+    match Hashtbl.find_opt index o with
+    | Some i when Hashtbl.length i = 0 -> Hashtbl.remove index o
+    | _ -> ()
+  in
   match op with
   | Acquire (o, m, r) ->
       let h = holds_of r in
@@ -416,6 +495,7 @@ let model_step lm model op =
         | None ->
             let c = { s = 0; x = 0; siread = 0 } in
             Hashtbl.replace h o c;
+            Hashtbl.replace (index_of o) r ();
             c
       in
       model_set c m (model_count c m + 1);
@@ -426,7 +506,10 @@ let model_step lm model op =
           match Hashtbl.find_opt h o with
           | Some c when model_count c m > 0 ->
               model_set c m 0;
-              if c.s = 0 && c.x = 0 && c.siread = 0 then Hashtbl.remove h o;
+              if c.s = 0 && c.x = 0 && c.siread = 0 then begin
+                Hashtbl.remove h o;
+                unindex o r
+              end;
               forget_if_empty r h
           | _ -> ())
       | None -> ());
@@ -441,38 +524,48 @@ let model_step lm model op =
                   c.s <- 0;
                   c.x <- 0;
                   if not keep_siread then c.siread <- 0;
-                  if c.siread = 0 then Hashtbl.remove h o;
+                  if c.siread = 0 then begin
+                    Hashtbl.remove h o;
+                    unindex o r
+                  end;
                   forget_if_empty r h
               | None -> ())
           | None -> ())
         resources;
+      drop_index_if_empty o;
       Lockmgr.release_all ~keep_siread lm o
   | Transfer (o, o') ->
+      let order =
+        match Hashtbl.find_opt index o with Some i -> old_index_release_order i | None -> []
+      in
       let expected =
         List.filter_map
           (fun r ->
-            match Hashtbl.find_opt model r with
-            | Some h -> (
-                match Hashtbl.find_opt h o with
-                | Some c when c.siread > 0 ->
-                    c.siread <- 0;
-                    if c.s = 0 && c.x = 0 then Hashtbl.remove h o;
-                    let merged =
-                      match Hashtbl.find_opt h o' with
-                      | Some c' ->
-                          let had = c'.siread > 0 in
-                          if not had then c'.siread <- 1;
-                          had
-                      | None ->
-                          Hashtbl.replace h o' { s = 0; x = 0; siread = 1 };
-                          false
-                    in
-                    Some (r, merged)
-                | _ -> None)
-            | None -> None)
-          resources
+            let h = holds_of r in
+            match Hashtbl.find_opt h o with
+            | Some c when c.siread > 0 ->
+                c.siread <- 0;
+                if c.s = 0 && c.x = 0 then begin
+                  Hashtbl.remove h o;
+                  unindex o r
+                end;
+                let merged =
+                  match Hashtbl.find_opt h o' with
+                  | Some c' ->
+                      let had = c'.siread > 0 in
+                      if not had then c'.siread <- 1;
+                      had
+                  | None ->
+                      Hashtbl.replace h o' { s = 0; x = 0; siread = 1 };
+                      Hashtbl.replace (index_of o') r ();
+                      false
+                in
+                Some (r, merged)
+            | _ -> None)
+          order
       in
-      let moved = List.sort compare (Lockmgr.transfer_sireads lm ~owner:o ~to_owner:o') in
+      drop_index_if_empty o;
+      let moved = Lockmgr.transfer_sireads lm ~owner:o ~to_owner:o' in
       if moved <> expected then QCheck.Test.fail_reportf "%s: moved entries differ" (show_op op)
 
 (* An S or X request that would wait is left out: the sequence stays in
@@ -535,11 +628,11 @@ let prop_queries_match_holders =
   QCheck.Test.make ~name:"x_owner/holds/iter_siread_holders agree with holders" ~count:100
     arb_ops (fun ops ->
       let lm = Lockmgr.create (Sim.create ()) in
-      let model = Hashtbl.create 8 in
+      let model = Hashtbl.create 8 and index = Hashtbl.create 8 in
       List.iteri
         (fun step op ->
           if not (would_block lm op) then begin
-            model_step lm model op;
+            model_step lm model index op;
             check_queries lm model ~step op
           end)
         ops;
@@ -565,6 +658,10 @@ let suite =
     ("conversion at queue front", `Quick, test_conversion_goes_to_queue_front);
     ("retained SIREAD visible to X", `Quick, test_siread_retained_vs_new_x);
     ("dropped entry not reused", `Quick, test_dropped_entry_not_reused);
+    ("release wakes in old index order", `Quick, check_release_wake_order ~keep_siread:false);
+    ( "commit release wakes in old index order",
+      `Quick,
+      check_release_wake_order ~keep_siread:true );
     QCheck_alcotest.to_alcotest prop_queries_match_holders;
   ]
 
